@@ -80,4 +80,11 @@ for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp; do
 done
 echo "    analyzer pass clean over common/nn/battery/weather"
 
+# Job 6 is the benchmark's smoke test: it builds perfbench/ against this
+# checkout in its own tree and runs every benchmark workload at a tiny shape,
+# so a change that breaks the benchmark's serial-reference or replay checks
+# (or drops a metric) fails CI instead of the next timed run.
+echo "==> Job 6: perfbench smoke"
+CARGO_TARGET_DIR="${PREFIX}-perfbench" python3 perfbench/smoke.py
+
 echo "==> CI green"

@@ -21,9 +21,9 @@ double pearson(const std::vector<double>& x, const std::vector<double>& y);
 /// Linearly-interpolated percentile, p in [0, 100].
 double percentile(std::vector<double> v, double p);
 
-/// Allocation-free variant for hot paths: copies `v` into `scratch` (whose
-/// capacity is reused across calls) before the in-place sort.
-double percentile(const std::vector<double>& v, double p, std::vector<double>& scratch);
+/// percentile() of an already ascending-sorted vector: no copy, no sort —
+/// for hot paths that keep their window sorted incrementally.
+double percentile_sorted(const std::vector<double>& sorted, double p);
 
 double min(const std::vector<double>& v);
 double max(const std::vector<double>& v);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 
 namespace ecthub {
@@ -52,6 +53,19 @@ class TimeGrid {
 
   /// First slot of day `d`.
   [[nodiscard]] std::size_t day_start(std::size_t d) const;
+
+  /// The shape pass of a generator: writes `shape(hour_of_day(t))` into
+  /// `out[t]` for every slot.  A shape depends on the slot of day only, so it
+  /// is evaluated for day 0's slots and copied forward to the later days —
+  /// bit-identical to evaluating it per slot.  out.size() must equal size().
+  template <typename Shape>
+  void fill_by_slot_of_day(std::span<double> out, Shape&& shape) const {
+    if (out.size() != size()) {
+      throw std::invalid_argument("TimeGrid::fill_by_slot_of_day: out.size() != size()");
+    }
+    for (std::size_t s = 0; s < slots_per_day_; ++s) out[s] = shape(hour_of_day(s));
+    for (std::size_t t = slots_per_day_; t < out.size(); ++t) out[t] = out[t - slots_per_day_];
+  }
 
   friend bool operator==(const TimeGrid& a, const TimeGrid& b) noexcept {
     return a.num_days_ == b.num_days_ && a.slots_per_day_ == b.slots_per_day_;

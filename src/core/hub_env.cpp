@@ -63,11 +63,24 @@ EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
   if (hub_.recovery_hours < 0.0) {
     throw std::invalid_argument("HubConfig: recovery_hours < 0");
   }
+  // Likewise the episode generators, which every reset builds afresh: their
+  // constructors check the configs.
+  (void)traffic::TrafficGenerator(hub_.traffic, Rng());
+  (void)weather::WeatherGenerator(hub_.weather, Rng());
+  (void)pricing::RtpGenerator(hub_.rtp, Rng());
   // The station's behaviour profile is a pure function of the hub config, so
   // it is built once here (also validating it eagerly) rather than per reset.
   station_.emplace(hub_.station,
                    ev::StrataProfile(hub_.ev_popularity, hub_.ev_evening_sensitivity,
                                      hub_.ev_evening_commuter));
+  // The observation's hour-of-day phase depends on the slot of day only.
+  hour_phase_.resize(2 * cfg_.slots_per_day);
+  for (std::size_t s = 0; s < cfg_.slots_per_day; ++s) {
+    const double hour =
+        static_cast<double>(s) * (24.0 / static_cast<double>(cfg_.slots_per_day));
+    hour_phase_[2 * s] = std::sin(2.0 * std::numbers::pi * hour / 24.0);
+    hour_phase_[2 * s + 1] = std::cos(2.0 * std::numbers::pi * hour / 24.0);
+  }
 }
 
 std::size_t EctHubEnv::state_dim() const { return observation_layout().dim(); }
@@ -221,13 +234,11 @@ void EctHubEnv::observe_into(std::span<double> out) const {
   window(traffic_.load_rate, 1.0);
   window(srtp_, ObservationLayout::kPriceScale);
   out[pos++] = pack_->soc_frac();
-  // Wrapping by hand keeps the final observation (t_ == size, where
-  // TimeGrid::hour_of_day would range-check) on the same 24 h phase;
-  // identical to hour_of_day(t_) for every in-episode slot.
-  const double hour = static_cast<double>(t_ % cfg_.slots_per_day) *
-                      (24.0 / static_cast<double>(cfg_.slots_per_day));
-  out[pos++] = std::sin(2.0 * std::numbers::pi * hour / 24.0);
-  out[pos] = std::cos(2.0 * std::numbers::pi * hour / 24.0);
+  // Wrapping by hand keeps the final observation (t_ == size) on the same
+  // 24 h phase.
+  const std::size_t slot_of_day = t_ % cfg_.slots_per_day;
+  out[pos++] = hour_phase_[2 * slot_of_day];
+  out[pos] = hour_phase_[2 * slot_of_day + 1];
 }
 
 std::vector<double> EctHubEnv::reset() {

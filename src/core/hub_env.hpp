@@ -167,6 +167,9 @@ class EctHubEnv final : public rl::Env {
   [[nodiscard]] const std::vector<double>& bs_power_series() const { return bs_kw_; }
   [[nodiscard]] const std::vector<double>& cs_power_series() const { return occ_.power_kw; }
   [[nodiscard]] const std::vector<double>& renewable_series() const { return renewable_kw_; }
+  [[nodiscard]] const traffic::TrafficTrace& traffic_trace() const { return traffic_; }
+  [[nodiscard]] const weather::WeatherSeries& weather_series() const { return wx_; }
+  [[nodiscard]] const ev::OccupancySeries& occupancy_series() const { return occ_; }
 
   /// Coupled-mode series (empty on an uncoupled hub).
   [[nodiscard]] const std::vector<double>& through_series() const { return through_kw_; }
@@ -198,6 +201,8 @@ class EctHubEnv final : public rl::Env {
   std::vector<bool> discounted_;  ///< per-slot discount flags; built once
   std::vector<double> through_kw_;    ///< coupled: through-traffic demand
   std::vector<std::uint8_t> outage_;  ///< coupled: front outage flags
+  /// Observation phase per slot of day: sin, cos of the hour angle.
+  std::vector<double> hour_phase_;
 
   std::optional<ev::ChargingStation> station_;         ///< built at construction
   std::optional<pricing::SellingPricePolicy> selling_; ///< built at first reset

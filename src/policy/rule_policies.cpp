@@ -52,17 +52,23 @@ GreedyPricePolicy::GreedyPricePolicy(ObservationLayout layout, double low_quanti
   if (!(0.0 <= low_quantile && low_quantile < high_quantile && high_quantile <= 100.0)) {
     throw std::invalid_argument("GreedyPricePolicy: bad quantiles");
   }
+  seen_.reserve(kWindow);
+  sorted_.reserve(kWindow);
 }
 
 std::size_t GreedyPricePolicy::decide(std::span<const double> obs) {
   const double now = layout_.rtp(obs);
-  // Trailing window of realized prices: the current slot plus the previous
-  // day (24 slots), exactly the slots a per-slot decision has seen.
-  constexpr std::size_t kWindow = 24;
+  // Slide the window: the oldest price leaves the sorted copy at its
+  // lower_bound, the new one enters at its upper_bound.  Same multiset as a
+  // freshly sorted copy, so both percentiles are unchanged to the bit.
+  if (seen_.size() == kWindow) {
+    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), seen_.front()));
+    seen_.erase(seen_.begin());
+  }
   seen_.push_back(now);
-  if (seen_.size() > kWindow + 1) seen_.erase(seen_.begin());
-  const double p_lo = stats::percentile(seen_, low_q_, scratch_);
-  const double p_hi = stats::percentile(seen_, high_q_, scratch_);
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), now), now);
+  const double p_lo = stats::percentile_sorted(sorted_, low_q_);
+  const double p_hi = stats::percentile_sorted(sorted_, high_q_);
   if (now <= p_lo) return 1;
   if (now >= p_hi) return 2;
   return 0;

@@ -58,14 +58,21 @@ class GreedyPricePolicy final : public Policy {
   explicit GreedyPricePolicy(ObservationLayout layout = {}, double low_quantile = 30.0,
                              double high_quantile = 70.0);
   std::size_t decide(std::span<const double> obs) override;
-  void begin_episode() override { seen_.clear(); }
+  void begin_episode() override {
+    seen_.clear();
+    sorted_.clear();
+  }
   [[nodiscard]] std::string name() const override { return "GreedyPrice"; }
 
  private:
+  /// Trailing window: the current slot plus the previous day (24 slots),
+  /// exactly the slots a per-slot decision has seen.
+  static constexpr std::size_t kWindow = 25;
+
   ObservationLayout layout_;
   double low_q_, high_q_;
-  std::vector<double> seen_;     ///< trailing window of realized prices, $/MWh
-  std::vector<double> scratch_;  ///< percentile sort buffer (zero-alloc decide)
+  std::vector<double> seen_;    ///< trailing window of realized prices, $/MWh
+  std::vector<double> sorted_;  ///< the same window, ascending
 };
 
 /// Forecast-driven arbitrage: learns the diurnal price curve online with a

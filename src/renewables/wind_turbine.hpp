@@ -29,6 +29,8 @@ class WindTurbine {
 
  private:
   WindTurbineConfig cfg_;
+  double cut_in_cubed_;  ///< cut_in^3
+  double ramp_den_;      ///< rated_speed^3 - cut_in^3
 };
 
 }  // namespace ecthub::renewables

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ecthub::serve {
 
@@ -72,7 +73,9 @@ std::size_t DecisionService::decide(std::span<const double> obs) {
   worker_cv_.notify_one();
   ticket->cv.wait(lock, [ticket] { return ticket->done; });
   const std::size_t action = ticket->action;
+  const std::exception_ptr error = std::exchange(ticket->error, nullptr);
   free_.push_back(ticket);
+  if (error) std::rethrow_exception(error);
   return action;
 }
 
@@ -108,9 +111,23 @@ void DecisionService::flush_into(FlushWorkspace& ws) {
     std::copy(ws.batch[i]->obs.begin(), ws.batch[i]->obs.end(), rows + i * state_dim_);
   }
   ws.actions.resize(admitted);
-  policy_->decide_rows(ws.obs, 0, admitted,
-                       std::span<std::size_t>(ws.actions.data(), admitted),
-                       *ws.policy_ws);
+  const std::span<std::size_t> actions(ws.actions.data(), admitted);
+  try {
+    policy_->decide_rows(ws.obs, 0, admitted, actions, *ws.policy_ws);
+  } catch (...) {
+    // An exception escaping the worker thread would terminate the process
+    // with every caller still blocked.  Retry the flush row by row instead:
+    // rows are independent (the bit-identity contract), so every caller
+    // gets its own action or the exception its own row raised — and no
+    // exception object is shared between caller threads.
+    for (std::size_t i = 0; i < admitted; ++i) {
+      try {
+        policy_->decide_rows(ws.obs, i, i + 1, actions, *ws.policy_ws);
+      } catch (...) {
+        ws.batch[i]->error = std::current_exception();
+      }
+    }
+  }
 
   ++flushes_;
   ++batch_hist_[admitted];

@@ -43,6 +43,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -110,7 +111,9 @@ class DecisionService {
   /// the action, bit-identical to decide_batch on the same observation.
   /// Safe to call from many threads concurrently.  Throws
   /// std::invalid_argument when obs.size() != state_dim() and
-  /// std::runtime_error after shutdown().
+  /// std::runtime_error after shutdown().  When the policy throws on this
+  /// request's observation, rethrows the policy's exception; requests
+  /// batched with it still get their actions, and the worker keeps serving.
   [[nodiscard]] std::size_t decide(std::span<const double> obs);
 
   /// Stops admitting new requests, flushes every in-flight one (each blocked
@@ -132,6 +135,7 @@ class DecisionService {
   struct Ticket {
     std::vector<double> obs;
     std::size_t action = 0;
+    std::exception_ptr error;  ///< set instead of `action` when the row threw
     bool done = false;
     std::uint64_t enqueue_us = 0;
     std::condition_variable cv;
@@ -150,7 +154,9 @@ class DecisionService {
 
   void worker_loop();
   /// Admits up to max_batch pending tickets into ws.obs, runs one
-  /// decide_rows forward, scatters actions back and wakes the callers.
+  /// decide_rows forward, scatters actions back and wakes the callers.  A
+  /// throwing forward is retried row by row; a row that throws again hands
+  /// its exception to its ticket.
   /// Called with mu_ held; allocation-free once ws has warmed up.
   void flush_into(FlushWorkspace& ws);
   [[nodiscard]] Ticket* acquire_ticket();

@@ -27,14 +27,20 @@ void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) 
   trace.load_rate.resize(grid.size());
   trace.volume_gb.resize(grid.size());
 
+  // Shape pass: the diurnal envelope, written into the load buffer.
+  std::vector<double>& load = trace.load_rate;
+  grid.fill_by_slot_of_day(load, [&](double hour) { return profile.at_hour(hour); });
+
+  // Noise pass over the envelope, in slot order.
   double ar = 0.0;  // AR(1) log-multiplier state
-  for (std::size_t t = 0; t < grid.size(); ++t) {
-    const double envelope = profile.at_hour(grid.hour_of_day(t));
-    const double weekend = grid.is_weekend(t) ? cfg_.weekend_factor : 1.0;
-    ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
-    const double load = std::clamp(envelope * weekend * std::exp(ar), cfg_.min_load, 1.0);
-    trace.load_rate[t] = load;
-    trace.volume_gb[t] = load * cfg_.peak_volume_gb;
+  for (std::size_t d = 0; d < grid.num_days(); ++d) {
+    const std::size_t first = grid.day_start(d);
+    const double weekend = grid.is_weekend(first) ? cfg_.weekend_factor : 1.0;
+    for (std::size_t t = first; t < first + grid.slots_per_day(); ++t) {
+      ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
+      load[t] = std::clamp(load[t] * weekend * std::exp(ar), cfg_.min_load, 1.0);
+      trace.volume_gb[t] = load[t] * cfg_.peak_volume_gb;
+    }
   }
 }
 

@@ -31,8 +31,22 @@ struct SolarConfig {
   std::size_t start_day_of_year = 172;  // summer solstice by default
 };
 
+/// The per-day part of the clear-sky envelope: day length, sunrise/sunset
+/// and the seasonal peak GHI of one day of year.
+struct ClearSkyDay {
+  double daylength_h;
+  double sunrise_h;
+  double sunset_h;
+  double peak_ghi;
+};
+
+[[nodiscard]] ClearSkyDay clear_sky_day(const SolarConfig& cfg, std::size_t day_of_year);
+
+/// The per-slot part: clear-sky GHI (W/m^2) at an hour of `day`.  Zero
+/// outside daylight; half-sine inside.
+[[nodiscard]] double clear_sky_ghi(const ClearSkyDay& day, double hour_of_day);
+
 /// Clear-sky GHI (W/m^2) at a given hour of day for a given day of year.
-/// Zero outside daylight; half-sine inside.
 [[nodiscard]] double clear_sky_ghi(const SolarConfig& cfg, std::size_t day_of_year,
                                    double hour_of_day);
 
@@ -40,7 +54,11 @@ struct SolarConfig {
 /// cloud process modulating the clear-sky envelope.
 class SolarModel {
  public:
+  /// Throws std::invalid_argument on an out-of-range config.
   SolarModel(SolarConfig cfg, Rng rng);
+
+  /// The constructor's config check, for owners that build models lazily.
+  static void validate(const SolarConfig& cfg);
 
   [[nodiscard]] std::vector<double> generate(const TimeGrid& grid);
 

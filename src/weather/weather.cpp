@@ -2,10 +2,19 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace ecthub::weather {
 
-WeatherGenerator::WeatherGenerator(WeatherConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {}
+WeatherGenerator::WeatherGenerator(WeatherConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
+  if (cfg_.temp_noise_sigma < 0.0) {
+    throw std::invalid_argument("WeatherConfig: temp_noise_sigma < 0");
+  }
+  // The solar and wind models are built per generate(); check their configs
+  // now.
+  SolarModel::validate(cfg_.solar);
+  WindModel::validate(cfg_.wind);
+}
 
 WeatherSeries WeatherGenerator::generate(const TimeGrid& grid) {
   WeatherSeries series;
@@ -19,14 +28,15 @@ void WeatherGenerator::generate_into(const TimeGrid& grid, WeatherSeries& series
   solar.generate_into(grid, series.ghi_wm2);
   wind.generate_into(grid, series.wind_speed_ms);
   series.temperature_c.resize(grid.size());
+  // Shape pass: mean plus the diurnal swing.  Temperature lags solar noon by
+  // ~2h; peak mid-afternoon.
+  grid.fill_by_slot_of_day(series.temperature_c, [this](double hour) {
+    return cfg_.mean_temperature_c +
+           0.5 * cfg_.diurnal_temp_swing_c * std::sin(2.0 * std::numbers::pi * (hour - 8.0) / 24.0);
+  });
+  // Noise pass.
   Rng temp_rng = rng_.fork();
-  for (std::size_t t = 0; t < grid.size(); ++t) {
-    // Temperature lags solar noon by ~2h; peak mid-afternoon.
-    const double diurnal = std::sin(2.0 * std::numbers::pi * (grid.hour_of_day(t) - 8.0) / 24.0);
-    series.temperature_c[t] = cfg_.mean_temperature_c +
-                              0.5 * cfg_.diurnal_temp_swing_c * diurnal +
-                              temp_rng.normal(0.0, cfg_.temp_noise_sigma);
-  }
+  for (double& temp : series.temperature_c) temp += temp_rng.normal(0.0, cfg_.temp_noise_sigma);
 }
 
 }  // namespace ecthub::weather

@@ -31,6 +31,8 @@ struct WeatherConfig {
 /// Generates consistent solar / wind / temperature series on one grid.
 class WeatherGenerator {
  public:
+  /// Throws std::invalid_argument on an out-of-range config, nested solar
+  /// and wind configs included.
   WeatherGenerator(WeatherConfig cfg, Rng rng);
 
   [[nodiscard]] WeatherSeries generate(const TimeGrid& grid);

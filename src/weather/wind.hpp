@@ -25,7 +25,11 @@ struct WindConfig {
 
 class WindModel {
  public:
+  /// Throws std::invalid_argument on an out-of-range config.
   WindModel(WindConfig cfg, Rng rng);
+
+  /// The constructor's config check, for owners that build models lazily.
+  static void validate(const WindConfig& cfg);
 
   /// Wind-speed series (m/s) over `grid`.
   [[nodiscard]] std::vector<double> generate(const TimeGrid& grid);

@@ -233,9 +233,9 @@ TEST(AllocationAudit, WorkerGemmLockstepSlotLoopAllocationFreeAfterWarmup) {
 
 TEST(AllocationAudit, GreedyFleetSlotLoopAllocationFreeAfterWarmup) {
   // The stateful rule-policy path: GreedyPricePolicy computes two trailing
-  // percentiles every slot and must do so through its reused scratch buffer
-  // (stats::percentile's by-value overload copies — the hot path takes the
-  // scratch overload instead).
+  // percentiles every slot and must do so from its reused window buffers
+  // (stats::percentile's by-value overload copies — the hot path keeps a
+  // sorted window and reads it with stats::percentile_sorted instead).
   const sim::ScenarioRegistry registry = sim::ScenarioRegistry::with_builtins();
   const std::vector<sim::FleetJob> jobs = sim::make_fleet_jobs(
       registry, registry.keys(), 8, 2, sim::SchedulerKind::kGreedyPrice);
@@ -252,7 +252,7 @@ TEST(AllocationAudit, GreedyFleetSlotLoopAllocationFreeAfterWarmup) {
   const std::uint64_t short_run = run_with_episodes(2);
   const std::uint64_t long_run = run_with_episodes(6);
   EXPECT_EQ(long_run, short_run)
-      << "extra greedy episodes allocated: the percentile scratch is not reused";
+      << "extra greedy episodes allocated: the price window buffers are not reused";
 }
 
 TEST(AllocationAudit, CoupledMetroSlotLoopAllocationFreeAfterWarmup) {

@@ -10,7 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -277,27 +283,164 @@ TEST(EctHubEnvGolden, FixedSeedPinsEpisodeSeries) {
 
   double rtp_sum = 0.0;
   for (std::size_t t = 0; t < 72; ++t) rtp_sum += env.rtp_at(t);
-  EXPECT_DOUBLE_EQ(env.rtp_at(0), 73.523843581901588);
-  EXPECT_DOUBLE_EQ(env.rtp_at(71), 92.379437347852715);
-  EXPECT_DOUBLE_EQ(rtp_sum, 6490.3151203255802);
+  EXPECT_EQ(env.rtp_at(0), 73.523843581901588);
+  EXPECT_EQ(env.rtp_at(71), 92.379437347852715);
+  EXPECT_EQ(rtp_sum, 6490.3151203255802);
 
   const auto& renew = env.renewable_series();
   ASSERT_EQ(renew.size(), 72u);
   double renew_sum = 0.0;
   for (const double r : renew) renew_sum += r;
-  EXPECT_DOUBLE_EQ(renew.front(), 0.0);  // midnight: no PV
-  EXPECT_DOUBLE_EQ(renew[12], 2.1879144406926456);
-  EXPECT_DOUBLE_EQ(renew_sum, 52.532058697937451);
+  EXPECT_EQ(renew.front(), 0.0);  // midnight: no PV
+  EXPECT_EQ(renew[12], 2.1879144406926456);
+  EXPECT_EQ(renew_sum, 52.532058697937451);
 
   const auto& bs = env.bs_power_series();
   ASSERT_EQ(bs.size(), 72u);
   double bs_sum = 0.0;
   for (const double b : bs) bs_sum += b;
-  EXPECT_DOUBLE_EQ(bs.front(), 1.5191806369449494);
-  EXPECT_DOUBLE_EQ(bs.back(), 1.6696044809281072);
-  EXPECT_DOUBLE_EQ(bs_sum, 157.96698188832352);
+  EXPECT_EQ(bs.front(), 1.5191806369449494);
+  EXPECT_EQ(bs.back(), 1.6696044809281072);
+  EXPECT_EQ(bs_sum, 157.96698188832352);
 
-  EXPECT_DOUBLE_EQ(env.soc_frac(), 0.61776257063720164);
+  EXPECT_EQ(env.soc_frac(), 0.61776257063720164);
+}
+
+// Bit-exact fingerprints of every stage series and of the observation at the
+// first, middle and final slot.  A fingerprint is FNV-1a over the values' bit
+// patterns, so a one-ULP drift anywhere in an episode fails the test (the
+// sums above would absorb it).  The cases cover both plant types, a
+// fractional-hour grid (5 slots/day: 4.8 h steps), a fine grid (96
+// slots/day), a weekend (8-day episodes) and a metro-fronted coupled hub.
+// On a deliberate generation change the failure message prints the new
+// table row.
+template <typename T>
+std::uint64_t bit_fingerprint(const std::vector<T>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const T x : v) {
+    std::uint64_t bits = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      bits = std::bit_cast<std::uint64_t>(static_cast<double>(x));
+    } else {
+      bits = static_cast<std::uint64_t>(x);
+    }
+    for (int shift = 0; shift < 64; shift += 8) {
+      h ^= (bits >> shift) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct EpisodeFingerprints {
+  std::uint64_t load, ghi, wind, temp, rtp, srtp, vehicles, cs_kw, through, outage;
+  std::uint64_t obs_first, obs_mid, obs_final;
+  friend bool operator==(const EpisodeFingerprints&, const EpisodeFingerprints&) = default;
+};
+
+std::string to_row(const EpisodeFingerprints& f) {
+  std::string row = "{";
+  for (const std::uint64_t v :
+       {f.load, f.ghi, f.wind, f.temp, f.rtp, f.srtp, f.vehicles, f.cs_kw, f.through,
+        f.outage, f.obs_first, f.obs_mid, f.obs_final}) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxULL, ", static_cast<unsigned long long>(v));
+    row += buf;
+  }
+  row.resize(row.size() - 2);
+  return row + "}";
+}
+
+EpisodeFingerprints fingerprint_episode(const HubConfig& hub, const HubEnvConfig& cfg) {
+  EctHubEnv env(hub, cfg);
+  std::vector<double> obs(env.state_dim());
+  env.reset_into(obs);
+  EpisodeFingerprints f{};
+  f.obs_first = bit_fingerprint(obs);
+  std::vector<double> rtp, srtp;
+  for (std::size_t t = 0; t < env.slots_per_episode(); ++t) {
+    rtp.push_back(env.rtp_at(t));
+    srtp.push_back(env.srtp_at(t));
+  }
+  f.load = bit_fingerprint(env.traffic_trace().load_rate);
+  f.ghi = bit_fingerprint(env.weather_series().ghi_wm2);
+  f.wind = bit_fingerprint(env.weather_series().wind_speed_ms);
+  f.temp = bit_fingerprint(env.weather_series().temperature_c);
+  f.rtp = bit_fingerprint(rtp);
+  f.srtp = bit_fingerprint(srtp);
+  f.vehicles = bit_fingerprint(env.occupancy_series().vehicles);
+  f.cs_kw = bit_fingerprint(env.cs_power_series());
+  f.through = bit_fingerprint(env.through_series());
+  f.outage = bit_fingerprint(env.outage_series());
+  const std::size_t mid = env.slots_per_episode() / 2;
+  for (std::size_t t = 0; t < env.slots_per_episode(); ++t) {
+    env.step_into(t % 3, obs);
+    if (t + 1 == mid) f.obs_mid = bit_fingerprint(obs);
+  }
+  f.obs_final = bit_fingerprint(obs);
+  return f;
+}
+
+TEST(EctHubEnvGolden, StageSeriesAndObservationsArePinnedToTheBit) {
+  struct Case {
+    const char* name;
+    HubConfig hub;
+    HubEnvConfig cfg;
+    EpisodeFingerprints expected;
+  };
+  const auto env_cfg = [](std::size_t slots_per_day) {
+    HubEnvConfig cfg;
+    cfg.episode_days = 8;
+    cfg.slots_per_day = slots_per_day;
+    cfg.discount_by_hour.assign(24, false);
+    for (std::size_t h = 10; h < 16; ++h) cfg.discount_by_hour[h] = true;
+    return cfg;
+  };
+  HubEnvConfig coupled = env_cfg(24);
+  coupled.coupling.enabled = true;
+  coupled.coupling.through_rate = 2.0;
+  coupled.coupling.front_seed = 0x5eedf407ULL;
+  coupled.coupling.outage = OutageModel{12.0, 2.0, 6.0};
+  const Case cases[] = {
+      {"urban-24", HubConfig::urban("bits", 4242), env_cfg(24),
+       {0xfee94254ecf36d57ULL, 0x704b4d31fd890d19ULL, 0x3eeba408febefa6bULL,
+        0xf104242173b72952ULL, 0xa26d727f1835b0cdULL, 0x1d479013f4e53bdcULL,
+        0x9a3c8a2d45c2d384ULL, 0xb4a31ea95e3a6e50ULL, 0xcbf29ce484222325ULL,
+        0xcbf29ce484222325ULL, 0xe833fab05b25ef8aULL, 0xc2eeed0e88ab57f4ULL,
+        0xfe945c18a01b7c10ULL}},
+      {"rural-24", HubConfig::rural("bits", 4243), env_cfg(24),
+       {0x1335f0b8f9699279ULL, 0x1d89a4339f44aeccULL, 0x7ca2166a8df0316bULL,
+        0xa7a7e4e180ae9c44ULL, 0xdd99ae7d70144ca7ULL, 0x71b96588cb3babdcULL,
+        0xfeaf3c3f0b8e6786ULL, 0xce69a1a26361c395ULL, 0xcbf29ce484222325ULL,
+        0xcbf29ce484222325ULL, 0xb9436b43b114340dULL, 0xbf6000b324115b74ULL,
+        0x16607074f42ecc11ULL}},
+      {"rural-96", HubConfig::rural("bits", 4244), env_cfg(96),
+       {0xa6039197da990f2eULL, 0x573ace80553e7636ULL, 0x5ca8cf59fbbe7a14ULL,
+        0x90d6ddf7399fd98cULL, 0xebcb7cad7f218f88ULL, 0xb619e2342c117e15ULL,
+        0xd76f7ecd96ae4726ULL, 0x3c178d80f8a82615ULL, 0xcbf29ce484222325ULL,
+        0xcbf29ce484222325ULL, 0x3822f714c07ce136ULL, 0xcdf27fdce4c4468fULL,
+        0x84b050b37cb5032dULL}},
+      {"rural-5", HubConfig::rural("bits", 4245), env_cfg(5),
+       {0x591d087943d596d0ULL, 0x19c353d1a10a2e90ULL, 0x9bf72a0b1e9daed3ULL,
+        0x79249a696ff12443ULL, 0x617dbb9e6793a104ULL, 0xae39ee9bfd20f350ULL,
+        0xb537a80629740b06ULL, 0xe5758b8a9fdb2d95ULL, 0xcbf29ce484222325ULL,
+        0xcbf29ce484222325ULL, 0x29ac69c8b4e9e190ULL, 0x85565f3e3c678044ULL,
+        0x983a85b2c121cd24ULL}},
+      {"urban-coupled", HubConfig::urban("bits", 4246), coupled,
+       {0xc417cd04054e894dULL, 0xc1ce38fc4c3badc5ULL, 0xbf56d57b9e9d9cc3ULL,
+        0xd715d79adcaec04eULL, 0x24d7e425dbc5e96fULL, 0xa125e0cac3e2b194ULL,
+        0x1380fc6e205df1e5ULL, 0x85db16d109c99b35ULL, 0xd3d1a38c4aab1c1aULL,
+        0xb8f28a3ac998cce4ULL, 0x18008abe6a764c89ULL, 0x0bd12e1f2c4f2d91ULL,
+        0xa63ebfba50f28869ULL}},
+  };
+  for (const Case& c : cases) {
+    const EpisodeFingerprints got = fingerprint_episode(c.hub, c.cfg);
+    EXPECT_EQ(got, c.expected) << c.name << " now fingerprints as " << to_row(got);
+  }
+  // The coupled case must actually exercise the outage front.
+  EctHubEnv fronted(HubConfig::urban("bits", 4246), coupled);
+  fronted.reset();
+  EXPECT_NE(std::count(fronted.outage_series().begin(), fronted.outage_series().end(), 1), 0);
 }
 
 TEST(EctHubEnvGolden, TwoEnvsSameSeedProduceIdenticalEpisodes) {
@@ -370,6 +513,20 @@ TEST(EctHubEnv, ZeroCapacityBatteryThrowsAtConstruction) {
   EXPECT_THROW(EctHubEnv(hub, small_env()), std::invalid_argument);
   hub.battery.capacity_kwh = -5.0;
   EXPECT_THROW(EctHubEnv(hub, small_env()), std::invalid_argument);
+}
+
+TEST(EctHubEnv, BadGeneratorConfigThrowsAtConstruction) {
+  // Generators are rebuilt at every reset; a bad config must still fail
+  // here, not at the first reset inside a fleet worker.
+  HubConfig bad_rtp = HubConfig::urban("bad-rtp", 60);
+  bad_rtp.rtp.spike_scale = 0.0;
+  EXPECT_THROW(EctHubEnv(bad_rtp, small_env()), std::invalid_argument);
+  HubConfig bad_weather = HubConfig::rural("bad-wx", 60);
+  bad_weather.weather.temp_noise_sigma = -1.0;
+  EXPECT_THROW(EctHubEnv(bad_weather, small_env()), std::invalid_argument);
+  HubConfig bad_traffic = HubConfig::urban("bad-traffic", 60);
+  bad_traffic.traffic.noise_sigma = -1.0;
+  EXPECT_THROW(EctHubEnv(bad_traffic, small_env()), std::invalid_argument);
 }
 
 TEST(EctHubEnv, NegativeRecoveryHoursThrowsAtConstruction) {

@@ -2,6 +2,7 @@
 // batched-vs-scalar equivalence of decide_batch() for every policy kind,
 // and the DrlPolicy checkpoint round trip.
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "policy/drl_policy.hpp"
 #include "policy/observation.hpp"
 #include "policy/rule_policies.hpp"
@@ -18,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace ecthub::policy {
@@ -300,6 +302,56 @@ TEST(PolicyStatefulness, GreedyWindowClearsAtEpisodeStart) {
   for (std::size_t t = 0; t < 30; ++t) {
     const auto obs = fake_obs(layout, replay, static_cast<double>(t % 24));
     EXPECT_EQ(a.decide(obs), b.decide(obs)) << "slot " << t;
+  }
+}
+
+// The policy keeps its price window sorted incrementally; this twin re-sorts
+// a copy of the whole window on every call (stats::percentile), the plain
+// statement of the rule.
+class GreedyTwin {
+ public:
+  GreedyTwin(ObservationLayout layout, double low_q, double high_q)
+      : layout_(layout), low_q_(low_q), high_q_(high_q) {}
+  void begin_episode() { seen_.clear(); }
+  std::size_t decide(std::span<const double> obs) {
+    const double now = layout_.rtp(obs);
+    seen_.push_back(now);
+    if (seen_.size() > 25) seen_.erase(seen_.begin());
+    if (now <= stats::percentile(seen_, low_q_)) return 1;
+    if (now >= stats::percentile(seen_, high_q_)) return 2;
+    return 0;
+  }
+
+ private:
+  ObservationLayout layout_;
+  double low_q_, high_q_;
+  std::vector<double> seen_;
+};
+
+TEST(PolicyStatefulness, GreedyIncrementalWindowMatchesResortingTwin) {
+  const ObservationLayout layout;
+  const std::pair<double, double> quantiles[] = {
+      {30.0, 70.0}, {0.0, 100.0}, {10.0, 90.0}, {45.0, 55.0}, {0.0, 12.5}};
+  for (const auto& [lo, hi] : quantiles) {
+    GreedyPricePolicy policy(layout, lo, hi);
+    GreedyTwin twin(layout, lo, hi);
+    Rng rng(static_cast<std::uint64_t>(1000 * lo + hi));
+    std::vector<double> obs(layout.dim(), 0.5);
+    std::size_t slot = 0;
+    // Episodes of varying length (shorter and longer than the window), with
+    // prices drawn mostly from a handful of levels so ties are everywhere.
+    for (const std::size_t episode_len : {3u, 24u, 25u, 26u, 400u, 1u, 999u}) {
+      policy.begin_episode();
+      twin.begin_episode();
+      for (std::size_t t = 0; t < episode_len; ++t, ++slot) {
+        const double price = rng.bernoulli(0.8)
+                                 ? 40.0 + 5.0 * static_cast<double>(rng.uniform_int(0, 4))
+                                 : rng.uniform(20.0, 90.0);
+        obs[layout.rtp_begin() + layout.lookback - 1] = price / ObservationLayout::kPriceScale;
+        ASSERT_EQ(policy.decide(obs), twin.decide(obs))
+            << "quantiles " << lo << "/" << hi << ", slot " << slot;
+      }
+    }
   }
 }
 

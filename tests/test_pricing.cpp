@@ -109,6 +109,21 @@ TEST(RtpGenerator, RejectsBadConfig) {
   EXPECT_THROW(RtpGenerator(bad2, Rng(1)), std::invalid_argument);
 }
 
+TEST(RtpGenerator, RejectsScalelessSpikesAndNegativeNoiseAtConstruction) {
+  // A zero spike scale used to pass construction and throw from
+  // Rng::exponential at the first spike, mid-episode.
+  RtpConfig no_scale;
+  no_scale.spike_scale = 0.0;
+  EXPECT_THROW(RtpGenerator(no_scale, Rng(1)), std::invalid_argument);
+  no_scale.spike_scale = -5.0;
+  EXPECT_THROW(RtpGenerator(no_scale, Rng(1)), std::invalid_argument);
+  no_scale.spike_prob = 0.0;  // spikes off: the scale is never used
+  EXPECT_NO_THROW(RtpGenerator(no_scale, Rng(1)));
+  RtpConfig negative_noise;
+  negative_noise.noise_sigma = -1.0;
+  EXPECT_THROW(RtpGenerator(negative_noise, Rng(1)), std::invalid_argument);
+}
+
 // Property sweep: determinism and floor invariants across seeds.
 class RtpSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

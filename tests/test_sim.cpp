@@ -165,12 +165,12 @@ TEST(ScenarioGolden, FixedSeedPinsEveryPreset) {
       rtp += env.rtp_at(t);
       srtp += env.srtp_at(t);
     }
-    EXPECT_DOUBLE_EQ(rtp, g.rtp_sum) << g.key;
-    EXPECT_DOUBLE_EQ(srtp, g.srtp_sum) << g.key;
-    EXPECT_DOUBLE_EQ(sum(env.renewable_series()), g.renewable_sum) << g.key;
-    EXPECT_DOUBLE_EQ(sum(env.bs_power_series()), g.bs_sum) << g.key;
-    EXPECT_DOUBLE_EQ(sum(env.cs_power_series()), g.cs_sum) << g.key;
-    EXPECT_DOUBLE_EQ(env.soc_frac(), g.soc0) << g.key;
+    EXPECT_EQ(rtp, g.rtp_sum) << g.key;
+    EXPECT_EQ(srtp, g.srtp_sum) << g.key;
+    EXPECT_EQ(sum(env.renewable_series()), g.renewable_sum) << g.key;
+    EXPECT_EQ(sum(env.bs_power_series()), g.bs_sum) << g.key;
+    EXPECT_EQ(sum(env.cs_power_series()), g.cs_sum) << g.key;
+    EXPECT_EQ(env.soc_frac(), g.soc0) << g.key;
   }
 }
 

@@ -90,6 +90,12 @@ TEST(SolarModel, RejectsBadConfig) {
   EXPECT_THROW(SolarModel(bad2, Rng(1)), std::invalid_argument);
 }
 
+TEST(SolarModel, RejectsNegativeTransmittanceSigma) {
+  SolarConfig bad;
+  bad.transmittance_sigma = -0.1;
+  EXPECT_THROW(SolarModel(bad, Rng(1)), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------- wind
 
 TEST(WindModel, SpeedsWithinPhysicalBounds) {
@@ -135,7 +141,27 @@ TEST(WindModel, RejectsBadConfig) {
   EXPECT_THROW(WindModel(bad2, Rng(1)), std::invalid_argument);
 }
 
+TEST(WindModel, RejectsNegativeMaxSpeed) {
+  WindConfig bad;
+  bad.max_speed_ms = -1.0;
+  EXPECT_THROW(WindModel(bad, Rng(1)), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------- combined
+
+TEST(WeatherGenerator, RejectsBadConfigsAtConstruction) {
+  WeatherConfig bad_temp;
+  bad_temp.temp_noise_sigma = -1.0;
+  EXPECT_THROW(WeatherGenerator(bad_temp, Rng(1)), std::invalid_argument);
+  // The nested models are built per generate(); their configs are checked
+  // up front all the same.
+  WeatherConfig bad_solar;
+  bad_solar.solar.transmittance_sigma = -0.1;
+  EXPECT_THROW(WeatherGenerator(bad_solar, Rng(1)), std::invalid_argument);
+  WeatherConfig bad_wind;
+  bad_wind.wind.max_speed_ms = -1.0;
+  EXPECT_THROW(WeatherGenerator(bad_wind, Rng(1)), std::invalid_argument);
+}
 
 TEST(WeatherGenerator, AllChannelsShareGridLength) {
   WeatherGenerator gen(WeatherConfig{}, Rng(8));
