@@ -62,23 +62,26 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #  (b) header self-containment — every src/**/*.hpp compiled standalone
 #      (twice, for guard idempotency) via the generated-TU object target;
 #  (c) GCC -fanalyzer compile-only over the leaf modules (common, nn,
-#      battery, weather).  GCC 12's analyzer does not model std::allocator,
-#      so three libstdc++-internal false-positive classes are suppressed with
-#      justification (see tools/lint_allowlist.txt header and README "Static
+#      battery, weather), the policy and serve modules, and the shard
+#      codec/driver (sim/shard_io, sim/shard_driver; the rest of sim waits
+#      on the fleet_runner triage in ROADMAP).  GCC 12's analyzer does not
+#      model std::allocator, so three libstdc++-internal false-positive
+#      classes are suppressed with justification (see tools/lint_allowlist.txt header and README "Static
 #      analysis"); every other -Wanalyzer-* check is a hard error.
 echo "==> Job 5: invariant lint + header self-containment + GCC analyzer"
 cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
 "${PREFIX}/tools/ecthub_lint" --allowlist tools/lint_allowlist.txt \
   --check-allowlist src
 
-for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp; do
+for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp \
+         src/policy/*.cpp src/serve/*.cpp src/sim/shard_io.cpp src/sim/shard_driver.cpp; do
   g++ -std=c++20 -Isrc -O1 -c "$f" -o /dev/null \
     -fanalyzer -Werror \
     -Wno-analyzer-use-of-uninitialized-value \
     -Wno-analyzer-null-dereference \
     -Wno-analyzer-possible-null-dereference
 done
-echo "    analyzer pass clean over common/nn/battery/weather"
+echo "    analyzer pass clean over common/nn/battery/weather/policy/serve + shard_io/shard_driver"
 
 # Job 6 is the benchmark's smoke test: it builds perfbench/ against this
 # checkout in its own tree and runs every benchmark workload at a tiny shape,

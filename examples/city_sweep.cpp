@@ -63,6 +63,7 @@
 // across the metro.  Coupled fleets are lockstep-only, so --metro implies
 // --lockstep; results stay bit-identical at any --lockstep-threads.
 #include "common/cli.hpp"
+#include "common/codec.hpp"
 #include "common/table.hpp"
 #include "core/fleet.hpp"
 #include "sim/drl_zoo.hpp"
@@ -82,7 +83,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -103,18 +103,22 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-// Loads the checkpoint from `path` when it exists; otherwise trains a fresh
-// actor on the first scenario's hub and (when a path was given) saves it.
+// Loads the checkpoint from `path` when it exists (exiting on a file that is
+// not a valid checkpoint); otherwise trains a fresh actor on the first
+// scenario's hub and (when a path was given) saves it.
 std::shared_ptr<const ecthub::policy::DrlCheckpoint> obtain_drl_checkpoint(
     const ecthub::sim::ScenarioRegistry& registry, const std::string& scenario_key,
     std::size_t days, std::size_t iterations, std::size_t train_hubs,
     std::size_t collector_threads, std::uint64_t base_seed, const std::string& path) {
   using namespace ecthub;
-  if (!path.empty()) {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::cout << "loading ECT-DRL checkpoint from " << path << "\n";
-      return std::make_shared<policy::DrlCheckpoint>(policy::DrlCheckpoint::load(in));
+  if (!path.empty() && std::filesystem::exists(path)) {
+    std::cout << "loading ECT-DRL checkpoint from " << path << "\n";
+    try {
+      return std::make_shared<policy::DrlCheckpoint>(
+          policy::DrlCheckpoint::decode(codec::read_file(path)));
+    } catch (const codec::Error& e) {
+      std::cerr << "city_sweep: --drl-checkpoint " << e.what() << "\n";
+      std::exit(1);
     }
   }
   const sim::Scenario& scenario = registry.at(scenario_key);
@@ -133,13 +137,12 @@ std::shared_ptr<const ecthub::policy::DrlCheckpoint> obtain_drl_checkpoint(
   auto ckpt = std::make_shared<policy::DrlCheckpoint>(
       core::train_drl_checkpoint(train_hub, train_cfg));
   if (!path.empty()) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::cerr << "city_sweep: cannot write --drl-checkpoint '" << path
-                << "'; continuing without saving\n";
-    } else {
-      ckpt->save(out);
+    try {
+      codec::write_file(path, ckpt->encode());
       std::cout << "saved checkpoint to " << path << "\n";
+    } catch (const codec::Error& e) {
+      std::cerr << "city_sweep: --drl-checkpoint " << e.what()
+                << "; continuing without saving\n";
     }
   }
   return ckpt;

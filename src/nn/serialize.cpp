@@ -1,75 +1,45 @@
 #include "nn/serialize.hpp"
 
-#include <cstdint>
-#include <istream>
-#include <ostream>
+#include "common/codec.hpp"
+
 #include <stdexcept>
 
 namespace ecthub::nn {
 
-namespace {
-
-constexpr std::uint32_t kMagic = 0x45435448;  // "ECTH"
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!in) throw std::runtime_error("load_parameters: truncated stream");
-  return v;
-}
-
-}  // namespace
-
-void save_parameters(std::ostream& out, const std::vector<ConstParameter>& params) {
-  write_u64(out, kMagic);
-  write_u64(out, params.size());
+std::string encode_parameters(const std::vector<ConstParameter>& params) {
+  std::string out;
+  codec::put_u64(out, params.size());
   for (const auto& p : params) {
-    if (p.value == nullptr) throw std::runtime_error("save_parameters: null tensor");
-    write_u64(out, p.name.size());
-    out.write(p.name.data(), static_cast<std::streamsize>(p.name.size()));
-    write_u64(out, p.value->rows());
-    write_u64(out, p.value->cols());
-    out.write(reinterpret_cast<const char*>(p.value->data().data()),
-              static_cast<std::streamsize>(p.value->data().size() * sizeof(double)));
+    if (p.value == nullptr) throw std::invalid_argument("encode_parameters: null tensor");
+    codec::put_string(out, p.name);
+    codec::put_u64(out, p.value->rows());
+    codec::put_u64(out, p.value->cols());
+    for (const double v : p.value->data()) codec::put_f64(out, v);
   }
-  if (!out) throw std::runtime_error("save_parameters: write failed");
+  return out;
 }
 
-void save_parameters(std::ostream& out, const std::vector<Parameter>& params) {
+std::string encode_parameters(const std::vector<Parameter>& params) {
   std::vector<ConstParameter> views;
   views.reserve(params.size());
   for (const auto& p : params) views.push_back({p.name, p.value});
-  save_parameters(out, views);
+  return encode_parameters(views);
 }
 
-void load_parameters(std::istream& in, std::vector<Parameter>& params) {
-  if (read_u64(in) != kMagic) throw std::runtime_error("load_parameters: bad magic");
-  const std::uint64_t count = read_u64(in);
-  if (count != params.size()) {
-    throw std::runtime_error("load_parameters: parameter count mismatch");
-  }
+void decode_parameters(std::string_view payload, std::vector<Parameter>& params) {
+  codec::Reader in(payload, "parameter records");
+  if (in.u64() != params.size()) in.fail("parameter count mismatch");
   for (auto& p : params) {
-    if (p.value == nullptr) throw std::runtime_error("load_parameters: null tensor");
-    const std::uint64_t name_len = read_u64(in);
-    std::string name(name_len, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name_len));
-    if (!in || name != p.name) {
-      throw std::runtime_error("load_parameters: parameter name mismatch (expected '" +
-                               p.name + "')");
-    }
-    const std::uint64_t rows = read_u64(in);
-    const std::uint64_t cols = read_u64(in);
+    if (p.value == nullptr) throw std::invalid_argument("decode_parameters: null tensor");
+    if (in.str() != p.name) in.fail("parameter name mismatch (expected '" + p.name + "')");
+    const std::uint64_t rows = in.u64();
+    const std::uint64_t cols = in.u64();
     if (rows != p.value->rows() || cols != p.value->cols()) {
-      throw std::runtime_error("load_parameters: shape mismatch for '" + p.name + "'");
+      in.fail("shape mismatch for '" + p.name + "'");
     }
-    in.read(reinterpret_cast<char*>(p.value->data().data()),
-            static_cast<std::streamsize>(p.value->data().size() * sizeof(double)));
-    if (!in) throw std::runtime_error("load_parameters: truncated tensor data");
+    for (double& v : p.value->data()) v = in.f64();
   }
+  in.expect_end();
 }
 
 }  // namespace ecthub::nn

@@ -1,17 +1,19 @@
 #include "policy/drl_policy.hpp"
 
+#include "common/codec.hpp"
 #include "nn/serialize.hpp"
 
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <array>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 namespace ecthub::policy {
 
 namespace {
 
-constexpr std::uint64_t kCheckpointMagic = 0x4543545044524c31ULL;  // "ECTPDRL1"
+constexpr std::array<std::uint32_t, 2> kSections = {1, 2};  // config, params
+constexpr codec::Format kFormat{"DRL checkpoint", "ECDR", 1, kSections};
 
 nn::MlpConfig actor_head_config(const DrlPolicyConfig& cfg) {
   nn::MlpConfig mc;
@@ -20,48 +22,43 @@ nn::MlpConfig actor_head_config(const DrlPolicyConfig& cfg) {
   return mc;
 }
 
-void write_u64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!in) throw std::runtime_error("DrlCheckpoint::load: truncated stream");
-  return v;
+/// Whether the actor `c` describes (three dense layers, weights + biases)
+/// has at most `budget` weights and no zero-width layer.  Overflow-safe for
+/// forged dimensions: every product is bounded by the budget first.
+bool weights_fit(const DrlPolicyConfig& c, std::uint64_t budget) {
+  for (const auto& [in, out] : {std::pair{c.state_dim, c.trunk_dim},
+                                std::pair{c.trunk_dim, c.head_dim},
+                                std::pair{c.head_dim, c.action_count}}) {
+    if (out == 0 || in >= budget || in + 1 > budget / out) return false;
+    budget -= (in + 1) * out;
+  }
+  return true;
 }
 
 }  // namespace
 
-void DrlCheckpoint::save(std::ostream& out) const {
-  write_u64(out, kCheckpointMagic);
-  write_u64(out, config.state_dim);
-  write_u64(out, config.action_count);
-  write_u64(out, config.trunk_dim);
-  write_u64(out, config.head_dim);
-  write_u64(out, blob.size());
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!out) throw std::runtime_error("DrlCheckpoint::save: write failed");
+std::string DrlCheckpoint::encode() const {
+  std::string cfg;
+  for (const std::size_t d : {config.state_dim, config.action_count, config.trunk_dim,
+                              config.head_dim}) {
+    codec::put_u64(cfg, d);
+  }
+  return codec::encode(kFormat, {cfg, blob});
 }
 
-DrlCheckpoint DrlCheckpoint::load(std::istream& in) {
-  if (read_u64(in) != kCheckpointMagic) {
-    throw std::runtime_error("DrlCheckpoint::load: bad magic (not a DRL checkpoint)");
-  }
+DrlCheckpoint DrlCheckpoint::decode(std::string_view bytes) {
+  const std::vector<std::string_view> sections = codec::decode(kFormat, bytes);
   DrlCheckpoint ckpt;
-  ckpt.config.state_dim = read_u64(in);
-  ckpt.config.action_count = read_u64(in);
-  ckpt.config.trunk_dim = read_u64(in);
-  ckpt.config.head_dim = read_u64(in);
-  const std::uint64_t blob_size = read_u64(in);
-  // Guard against garbage sizes from corrupt files before allocating (the
-  // largest plausible actor blob is a few MB).
-  if (blob_size > (1ULL << 30)) {
-    throw std::runtime_error("DrlCheckpoint::load: implausible blob size (corrupt file)");
+  DrlPolicyConfig& c = ckpt.config;
+  codec::Reader in(sections[0], "DRL checkpoint config");
+  for (std::size_t* d : {&c.state_dim, &c.action_count, &c.trunk_dim, &c.head_dim}) {
+    *d = static_cast<std::size_t>(in.u64());
   }
-  ckpt.blob.resize(blob_size);
-  in.read(ckpt.blob.data(), static_cast<std::streamsize>(blob_size));
-  if (!in) throw std::runtime_error("DrlCheckpoint::load: truncated parameter blob");
+  in.expect_end();
+  if (c.state_dim == 0 || c.action_count < 2 || !weights_fit(c, sections[1].size() / 8)) {
+    in.fail("no actor of this shape fits the params section");
+  }
+  ckpt.blob = sections[1];
   return ckpt;
 }
 
@@ -91,9 +88,8 @@ DrlPolicy::DrlPolicy(const DrlCheckpoint& checkpoint)
     // other policies loaded on the same thread (a fixed seed keeps even the
     // transient pre-load weights deterministic).
     : DrlPolicy(checkpoint.config, nn::Rng(0)) {
-  std::istringstream in(checkpoint.blob);
   std::vector<nn::Parameter> params = parameters();
-  nn::load_parameters(in, params);
+  nn::decode_parameters(checkpoint.blob, params);
 }
 
 std::unique_ptr<Policy::Workspace> DrlPolicy::make_workspace() const {
@@ -151,9 +147,7 @@ void DrlPolicy::decide_batch(const nn::Matrix& obs, std::span<std::size_t> actio
 DrlCheckpoint DrlPolicy::checkpoint() {
   DrlCheckpoint ckpt;
   ckpt.config = cfg_;
-  std::ostringstream out;
-  nn::save_parameters(out, parameters());
-  ckpt.blob = out.str();
+  ckpt.blob = nn::encode_parameters(parameters());
   return ckpt;
 }
 

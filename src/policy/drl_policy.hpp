@@ -14,8 +14,8 @@
 // bit.  decide() and decide_batch() are thin wrappers over the same kernel
 // using a member workspace.
 //
-// Weights travel as a DrlCheckpoint — the network shape plus an nn/serialize
-// parameter blob.  The parameter names mirror rl::ActorCritic ("ac.trunk",
+// Weights travel as a DrlCheckpoint — the network shape plus nn/serialize
+// parameter records.  The parameter names mirror rl::ActorCritic ("ac.trunk",
 // "ac.actor.*"), so a checkpoint exported from a trained PPO policy loads
 // straight into a DrlPolicy (core::export_actor_checkpoint does exactly
 // that) and any architecture mismatch fails loudly at load time.
@@ -26,9 +26,9 @@
 #include "policy/policy.hpp"
 
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ecthub::policy {
@@ -42,15 +42,19 @@ struct DrlPolicyConfig {
   std::size_t head_dim = 32;   ///< hidden width of the actor head
 };
 
-/// A serialized actor: shape + nn::save_parameters blob (trunk and actor
-/// tensors only — the critic head is training-time baggage).
+/// A serialized actor: shape + nn::encode_parameters records (trunk and
+/// actor tensors only — the critic head is training-time baggage).
 struct DrlCheckpoint {
   DrlPolicyConfig config;
-  std::string blob;
+  std::string blob;  ///< the parameter records
 
-  /// Binary round trip; throws std::runtime_error on I/O or format errors.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static DrlCheckpoint load(std::istream& in);
+  /// The "ECDR" codec container (README "Binary formats"): a config section
+  /// and the blob as the params section.
+  [[nodiscard]] std::string encode() const;
+  /// Inverse of encode(); throws the codec's typed errors — FormatError also
+  /// for a config no actor can have, or one whose weights the params
+  /// section is too short to hold, so a forged config never sizes a network.
+  [[nodiscard]] static DrlCheckpoint decode(std::string_view bytes);
 };
 
 class DrlPolicy final : public Policy {
@@ -58,8 +62,9 @@ class DrlPolicy final : public Policy {
   /// Fresh (randomly initialized) actor — the pre-training starting point.
   DrlPolicy(DrlPolicyConfig cfg, nn::Rng& rng);
 
-  /// Restores a serialized actor; throws std::runtime_error when the blob
-  /// does not match the checkpoint's own shape.
+  /// Restores a serialized actor; throws codec::FormatError when the blob
+  /// does not match the checkpoint's own shape (std::invalid_argument, as
+  /// the constructor above, for a config no actor can have).
   explicit DrlPolicy(const DrlCheckpoint& checkpoint);
 
   std::size_t decide(std::span<const double> obs) override;

@@ -34,6 +34,15 @@ DecisionService::DecisionService(std::shared_ptr<const policy::Policy> policy,
   flush_ws_.obs.resize_zeroed(cfg_.max_batch, state_dim_);
   flush_ws_.actions.assign(cfg_.max_batch, 0);
   flush_ws_.batch.reserve(cfg_.max_batch);
+  // One forward over the zeroed full-size batch grows the policy workspace
+  // to max_batch rows too, so the first full flush is no allocation either.
+  policy_->decide_rows(flush_ws_.obs, 0, cfg_.max_batch, flush_ws_.actions,
+                       *flush_ws_.policy_ws);
+  // The request side is pre-sized for the max_batch concurrent callers a
+  // full flush needs: the ticket pool and the queue only grow past that.
+  for (std::size_t i = 0; i < cfg_.max_batch; ++i) (void)acquire_ticket();
+  for (const auto& ticket : tickets_) free_.push_back(ticket.get());
+  pending_.reserve(cfg_.max_batch);
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -41,8 +50,9 @@ DecisionService::~DecisionService() { shutdown(); }
 
 DecisionService::Ticket* DecisionService::acquire_ticket() {
   if (free_.empty()) {
-    // Warm-up growth: the pool high-water mark is the maximum number of
-    // concurrently blocked callers; after that every acquire is a reuse.
+    // Growth past the pre-sized pool: the high-water mark is the maximum
+    // number of concurrently blocked callers; after that every acquire is
+    // a reuse.
     tickets_.push_back(std::make_unique<Ticket>());
     tickets_.back()->obs.reserve(state_dim_);
     return tickets_.back().get();

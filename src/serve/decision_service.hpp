@@ -22,9 +22,12 @@
 //    (the decide_rows contract); the constructor rejects them.
 //  * zero steady-state allocation — request admission, the flush forward
 //    (per-worker Policy::Workspace + reused observation matrix) and the
-//    action scatter are allocation-free once the ticket pool and workspace
-//    have warmed up, in the same counting-operator-new sense as the episode
-//    hot path (test_alloc style).
+//    action scatter are allocation-free, in the same counting-operator-new
+//    sense as the episode hot path (test_alloc style).  The constructor
+//    sizes the flush workspace (policy scratch included, via one forward
+//    over a zeroed max_batch-row matrix) and a ticket pool and queue for
+//    max_batch concurrent callers; only more concurrent callers than that
+//    grow the pool, once.
 //  * clean shutdown — shutdown() stops admissions, drains every in-flight
 //    request (each still receives its correct action), then joins the
 //    worker.
@@ -97,7 +100,8 @@ class DecisionService {
   /// Starts the worker.  `policy` must be stateless() (the decide_rows
   /// contract — micro-batching mixes requests from arbitrary callers into
   /// one matrix); throws std::invalid_argument otherwise, and on a null
-  /// policy, state_dim == 0, or max_batch == 0.
+  /// policy, state_dim == 0, or max_batch == 0.  Runs the policy once on a
+  /// zeroed max_batch-row batch to size its workspace.
   DecisionService(std::shared_ptr<const policy::Policy> policy, std::size_t state_dim,
                   ServiceConfig cfg = {});
 

@@ -32,6 +32,21 @@ constexpr std::uint64_t kPolicySeedTag = 0xec7ec7ec7ec7ec7eULL;
 // in common/crew.hpp (it is shared with rl::VecRolloutCollector); the alias
 // keeps the lockstep code reading in fleet terms.
 using LockstepCrew = ecthub::BarrierCrew;
+
+// Closes one finished episode into the job's result: the SoC digest when
+// this episode recorded one, then the ledger totals.  Shared by run_job and
+// the lockstep lanes so both tally in the same order.
+void close_episode(HubRunResult& r, const core::ProfitLedger& ledger, SocDigest* soc) {
+  if (soc != nullptr) {
+    soc->close();
+    r.soc = *soc;
+  }
+  r.revenue += ledger.total_revenue();
+  r.grid_cost += ledger.total_grid_cost();
+  r.bp_cost += ledger.total_bp_cost();
+  r.profit += ledger.total_profit();
+  r.episode_profit.push_back(ledger.total_profit());
+}
 }  // namespace
 
 const std::vector<SchedulerKind>& all_scheduler_kinds() {
@@ -174,34 +189,14 @@ HubRunResult FleetRunner::run_job(const FleetJob& job, std::size_t hub_id,
     pol->begin_episode();
     const bool record_soc = ep + 1 == cfg.episodes_per_hub;
     SocDigest soc;
-    if (record_soc) {
-      soc.first = env.soc_frac();
-      soc.min = std::numeric_limits<double>::infinity();
-      soc.max = -std::numeric_limits<double>::infinity();
-    }
+    if (record_soc) soc.open(env.soc_frac());
     bool done = false;
     while (!done) {
       const core::StepOutcome sr = env.step_into(pol->decide(state), state);
       done = sr.done;
-      if (record_soc) {
-        const double s = env.soc_frac();
-        soc.last = s;
-        soc.min = std::min(soc.min, s);
-        soc.max = std::max(soc.max, s);
-        soc.checksum += s;
-        ++soc.samples;
-      }
+      if (record_soc) soc.sample(env.soc_frac());
     }
-    if (record_soc) {
-      soc.mean = soc.samples > 0 ? soc.checksum / static_cast<double>(soc.samples) : 0.0;
-      r.soc = soc;
-    }
-    const core::ProfitLedger& ledger = env.ledger();
-    r.revenue += ledger.total_revenue();
-    r.grid_cost += ledger.total_grid_cost();
-    r.bp_cost += ledger.total_bp_cost();
-    r.profit += ledger.total_profit();
-    r.episode_profit.push_back(ledger.total_profit());
+    close_episode(r, env.ledger(), record_soc ? &soc : nullptr);
   }
   return r;
 }
@@ -398,12 +393,7 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
       lane.env->reset_into(obs_of(lane));
       if (lane.own_pol) lane.own_pol->begin_episode();
       lane.record_soc = lane.episodes_done + 1 == cfg_.episodes_per_hub;
-      if (lane.record_soc) {
-        lane.soc = SocDigest{};
-        lane.soc.first = lane.env->soc_frac();
-        lane.soc.min = std::numeric_limits<double>::infinity();
-        lane.soc.max = -std::numeric_limits<double>::infinity();
-      }
+      if (lane.record_soc) lane.soc.open(lane.env->soc_frac());
     }
     if (lane.own_pol) lane.action = lane.own_pol->decide(lane.state);
   };
@@ -450,27 +440,9 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     } else {
       sr = lane.env->step_into(lane.action, obs_of(lane));
     }
-    if (lane.record_soc) {
-      const double s = lane.env->soc_frac();
-      lane.soc.last = s;
-      lane.soc.min = std::min(lane.soc.min, s);
-      lane.soc.max = std::max(lane.soc.max, s);
-      lane.soc.checksum += s;
-      ++lane.soc.samples;
-    }
+    if (lane.record_soc) lane.soc.sample(lane.env->soc_frac());
     if (!sr.done) return;
-    if (lane.record_soc) {
-      lane.soc.mean = lane.soc.samples > 0
-                          ? lane.soc.checksum / static_cast<double>(lane.soc.samples)
-                          : 0.0;
-      lane.result.soc = lane.soc;
-    }
-    const core::ProfitLedger& ledger = lane.env->ledger();
-    lane.result.revenue += ledger.total_revenue();
-    lane.result.grid_cost += ledger.total_grid_cost();
-    lane.result.bp_cost += ledger.total_bp_cost();
-    lane.result.profit += ledger.total_profit();
-    lane.result.episode_profit.push_back(ledger.total_profit());
+    close_episode(lane.result, lane.env->ledger(), lane.record_soc ? &lane.soc : nullptr);
     ++lane.episodes_done;
     if (lane.episodes_done < cfg_.episodes_per_hub) {
       lane.needs_begin = true;

@@ -66,7 +66,9 @@
 #include "policy/drl_policy.hpp"
 #include "policy/policy.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -150,6 +152,22 @@ struct SocDigest {
   double mean = 0.0;
   double checksum = 0.0;  ///< plain sum in slot order — drift detector
   std::size_t samples = 0;
+
+  /// Starts a fresh trajectory at the episode's initial SoC.
+  void open(double soc) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    *this = {.first = soc, .min = kInf, .max = -kInf};
+  }
+  /// Folds in the SoC after one slot.
+  void sample(double soc) {
+    last = soc;
+    min = std::min(min, soc);
+    max = std::max(max, soc);
+    checksum += soc;
+    ++samples;
+  }
+  /// Finalizes the mean once the episode is done.
+  void close() { mean = samples > 0 ? checksum / static_cast<double>(samples) : 0.0; }
 
   friend bool operator==(const SocDigest&, const SocDigest&) = default;
 };

@@ -39,7 +39,7 @@ namespace ecthub::sim {
 
 /// Orchestration failure: fork/wait plumbing, a failed worker, or an
 /// inconsistent shard-file set.  (Per-file decode failures keep their
-/// shard_io types.)
+/// codec error types.)
 class ShardDriverError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -73,7 +73,7 @@ class ShardDriver {
                                       std::size_t shard_count,
                                       const std::filesystem::path& dir) const;
 
-  /// Loads every path (typed shard_io errors propagate), validates that the
+  /// Loads every path (typed codec errors propagate), validates that the
   /// files form one complete, consistent shard set — identical shard_count
   /// and job_count, every shard_index 0..n-1 present exactly once — and
   /// folds them in shard order.

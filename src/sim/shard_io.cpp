@@ -1,445 +1,191 @@
 #include "sim/shard_io.hpp"
 
-#include <bit>
+#include <array>
+#include <concepts>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <utility>
 
 namespace ecthub::sim {
 
 namespace {
 
-constexpr char kMagic[4] = {'E', 'C', 'S', 'H'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kSectionPlan = 1;
-constexpr std::uint32_t kSectionResults = 2;
-constexpr std::uint32_t kSectionReport = 3;
-constexpr std::uint32_t kSectionCount = 3;
-/// Implausible-size guard for embedded strings — no hub name, scenario key
-/// or scheduler name approaches this; a longer length is corruption.
-constexpr std::uint64_t kMaxStringLen = std::uint64_t{1} << 20;
+constexpr std::array<std::uint32_t, 3> kSections = {1, 2, 3};  // plan, results, report
+constexpr codec::Format kFormat{"shard", "ECSH", 1, kSections};
 
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
+// Each record's fields are listed once, in wire order, and visited with a
+// Writer (const records) or a Loader (mutable ones), so the encoder and the
+// decoder cannot drift apart.
+
+/// Appends each visited field in wire form.
+struct Writer {
+  std::string& out;
+  template <std::unsigned_integral T>
+  void operator()(T v) const { codec::put_u64(out, v); }
+  void operator()(double v) const { codec::put_f64(out, v); }
+  void operator()(const std::string& s) const { codec::put_string(out, s); }
+  void operator()(SchedulerKind k) const { codec::put_string(out, to_string(k)); }
+  void operator()(const ExactSum& sum) const {
+    for (const std::uint64_t limb : sum.limbs()) codec::put_u64(out, limb);
   }
-  return hash;
-}
-
-// ---- little-endian, byte-explicit writers --------------------------------
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (unsigned i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  void operator()(const std::vector<double>& v) const {
+    codec::put_u64(out, v.size());
+    for (const double x : v) codec::put_f64(out, x);
   }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (unsigned i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void put_double(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
-
-void put_exact_sum(std::string& out, const ExactSum& sum) {
-  for (const std::uint64_t limb : sum.limbs()) put_u64(out, limb);
-}
-
-void put_group(std::string& out, const GroupStats& g) {
-  put_u64(out, g.hubs);
-  put_u64(out, g.episodes);
-  put_exact_sum(out, g.revenue);
-  put_exact_sum(out, g.grid_cost);
-  put_exact_sum(out, g.bp_cost);
-  put_exact_sum(out, g.profit);
-  put_exact_sum(out, g.soc_mean_sum);
-  put_exact_sum(out, g.through_kwh);
-  put_exact_sum(out, g.spill_exported_kwh);
-  put_exact_sum(out, g.spill_served_kwh);
-  put_exact_sum(out, g.spill_dropped_kwh);
-  put_u64(out, g.outage_slots);
-}
-
-void put_result(std::string& out, const HubRunResult& r) {
-  put_u64(out, r.hub_id);
-  put_string(out, r.hub_name);
-  put_string(out, r.scenario);
-  put_string(out, to_string(r.scheduler));
-  put_u64(out, r.seed);
-  put_u64(out, r.episodes);
-  put_u64(out, r.slots_per_episode);
-  put_double(out, r.revenue);
-  put_double(out, r.grid_cost);
-  put_double(out, r.bp_cost);
-  put_double(out, r.profit);
-  put_u64(out, r.episode_profit.size());
-  for (const double p : r.episode_profit) put_double(out, p);
-  put_double(out, r.soc.first);
-  put_double(out, r.soc.last);
-  put_double(out, r.soc.min);
-  put_double(out, r.soc.max);
-  put_double(out, r.soc.mean);
-  put_double(out, r.soc.checksum);
-  put_u64(out, r.soc.samples);
-  put_double(out, r.through_kwh);
-  put_double(out, r.spill_exported_kwh);
-  put_double(out, r.spill_served_kwh);
-  put_double(out, r.spill_dropped_kwh);
-  put_u64(out, r.outage_slots);
-}
-
-// ---- structurally checked payload reader (runs after the checksum) -------
-
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      v |= std::uint64_t{static_cast<unsigned char>(bytes_[pos_ + i])} << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-
-  [[nodiscard]] std::string str() {
-    const std::uint64_t len = u64();
-    if (len > kMaxStringLen) {
-      throw ShardFormatError("shard payload: implausible string length " +
-                             std::to_string(len));
-    }
-    need(static_cast<std::size_t>(len));
-    std::string s(bytes_.substr(pos_, static_cast<std::size_t>(len)));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
-  }
-
-  [[nodiscard]] ExactSum exact_sum() {
-    ExactSum::Limbs limbs{};
-    for (std::uint64_t& limb : limbs) limb = u64();
-    return ExactSum::from_limbs(limbs);
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-
-  void expect_end(const char* what) const {
-    if (pos_ != bytes_.size()) {
-      throw ShardFormatError(std::string("shard payload: trailing bytes in ") + what +
-                             " section");
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (bytes_.size() - pos_ < n) {
-      throw ShardFormatError("shard payload: section ends before its contents");
-    }
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
 };
 
-[[nodiscard]] GroupStats read_group(PayloadReader& in) {
-  GroupStats g;
-  g.hubs = in.u64();
-  g.episodes = in.u64();
-  g.revenue = in.exact_sum();
-  g.grid_cost = in.exact_sum();
-  g.bp_cost = in.exact_sum();
-  g.profit = in.exact_sum();
-  g.soc_mean_sum = in.exact_sum();
-  g.through_kwh = in.exact_sum();
-  g.spill_exported_kwh = in.exact_sum();
-  g.spill_served_kwh = in.exact_sum();
-  g.spill_dropped_kwh = in.exact_sum();
-  g.outage_slots = in.u64();
-  return g;
-}
-
-[[nodiscard]] HubRunResult read_result(PayloadReader& in) {
-  HubRunResult r;
-  r.hub_id = in.u64();
-  r.hub_name = in.str();
-  r.scenario = in.str();
-  const std::string scheduler_name = in.str();
-  try {
-    r.scheduler = scheduler_kind_from_string(scheduler_name);
-  } catch (const std::invalid_argument& e) {
-    throw ShardFormatError(std::string("shard payload: ") + e.what());
-  }
-  r.seed = in.u64();
-  r.episodes = in.u64();
-  r.slots_per_episode = in.u64();
-  r.revenue = in.f64();
-  r.grid_cost = in.f64();
-  r.bp_cost = in.f64();
-  r.profit = in.f64();
-  const std::uint64_t profits = in.u64();
-  if (profits > in.remaining() / 8) {
-    throw ShardFormatError("shard payload: implausible episode_profit count " +
-                           std::to_string(profits));
-  }
-  r.episode_profit.resize(static_cast<std::size_t>(profits));
-  for (double& p : r.episode_profit) p = in.f64();
-  r.soc.first = in.f64();
-  r.soc.last = in.f64();
-  r.soc.min = in.f64();
-  r.soc.max = in.f64();
-  r.soc.mean = in.f64();
-  r.soc.checksum = in.f64();
-  r.soc.samples = in.u64();
-  r.through_kwh = in.f64();
-  r.spill_exported_kwh = in.f64();
-  r.spill_served_kwh = in.f64();
-  r.spill_dropped_kwh = in.f64();
-  r.outage_slots = in.u64();
-  return r;
-}
-
-[[nodiscard]] std::string serialize_report_payload(const AggregateReport& report) {
-  std::string out;
-  put_group(out, report.totals());
-  put_u64(out, report.by_scenario().size());
-  for (const auto& [key, stats] : report.by_scenario()) {
-    put_string(out, key);
-    put_group(out, stats);
-  }
-  put_u64(out, report.by_scheduler().size());
-  for (const auto& [key, stats] : report.by_scheduler()) {
-    put_string(out, key);
-    put_group(out, stats);
-  }
-  return out;
-}
-
-[[nodiscard]] AggregateReport read_report_payload(PayloadReader& in) {
-  GroupStats totals = read_group(in);
-  std::map<std::string, GroupStats> by_scenario;
-  const std::uint64_t scenarios = in.u64();
-  for (std::uint64_t i = 0; i < scenarios; ++i) {
-    std::string key = in.str();
-    if (by_scenario.contains(key)) {
-      throw ShardFormatError("shard payload: duplicate scenario key '" + key + "'");
+/// Reads each visited field back through the bounded reader.
+struct Loader {
+  codec::Reader& in;
+  template <std::unsigned_integral T>
+  void operator()(T& v) const { v = static_cast<T>(in.u64()); }
+  void operator()(double& v) const { v = in.f64(); }
+  void operator()(std::string& s) const { s = in.str(); }
+  void operator()(SchedulerKind& k) const {
+    const std::string name = in.str();
+    try {
+      k = scheduler_kind_from_string(name);
+    } catch (const std::invalid_argument& e) {
+      in.fail(e.what());
     }
-    by_scenario.emplace(std::move(key), read_group(in));
   }
-  std::map<std::string, GroupStats> by_scheduler;
-  const std::uint64_t schedulers = in.u64();
-  for (std::uint64_t i = 0; i < schedulers; ++i) {
-    std::string key = in.str();
-    if (by_scheduler.contains(key)) {
-      throw ShardFormatError("shard payload: duplicate scheduler key '" + key + "'");
-    }
-    by_scheduler.emplace(std::move(key), read_group(in));
+  void operator()(ExactSum& sum) const {
+    ExactSum::Limbs limbs{};
+    for (std::uint64_t& limb : limbs) limb = in.u64();
+    sum = ExactSum::from_limbs(limbs);
   }
-  return AggregateReport::from_groups(std::move(totals), std::move(by_scenario),
-                                      std::move(by_scheduler));
+  void operator()(std::vector<double>& v) const {
+    v.resize(static_cast<std::size_t>(in.count(8)));
+    for (double& x : v) x = in.f64();
+  }
+};
+
+/// Visits `fields` left to right — the wire order.
+template <class F, class... T>
+void each(const F& f, T&... fields) {
+  (f(fields), ...);
 }
 
-void put_section(std::string& out, std::uint32_t id, const std::string& payload) {
-  put_u32(out, id);
-  put_u64(out, payload.size());
-  out.append(payload);
+template <class Plan, class F>
+void plan_fields(Plan& p, const F& f) {
+  each(f, p.shard_index, p.shard_count, p.job_count, p.begin, p.end);
+}
+
+template <class Group, class F>
+void group_fields(Group& g, const F& f) {
+  each(f, g.hubs, g.episodes, g.revenue, g.grid_cost, g.bp_cost, g.profit, g.soc_mean_sum,
+       g.through_kwh, g.spill_exported_kwh, g.spill_served_kwh, g.spill_dropped_kwh,
+       g.outage_slots);
+}
+
+template <class Result, class F>
+void result_fields(Result& r, const F& f) {
+  each(f, r.hub_id, r.hub_name, r.scenario, r.scheduler, r.seed, r.episodes,
+       r.slots_per_episode, r.revenue, r.grid_cost, r.bp_cost, r.profit, r.episode_profit,
+       r.soc.first, r.soc.last, r.soc.min, r.soc.max, r.soc.mean, r.soc.checksum,
+       r.soc.samples, r.through_kwh, r.spill_exported_kwh, r.spill_served_kwh,
+       r.spill_dropped_kwh, r.outage_slots);
+}
+
+[[nodiscard]] std::map<std::string, GroupStats> read_keyed_groups(codec::Reader& in,
+                                                                  const char* key_kind) {
+  std::map<std::string, GroupStats> groups;
+  const std::uint64_t count = in.u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::string key = in.str();
+    if (groups.contains(key)) in.fail(std::string("duplicate ") + key_kind + " key '" + key + "'");
+    group_fields(groups[std::move(key)], Loader{in});
+  }
+  return groups;
 }
 
 }  // namespace
 
 std::string serialize_report(const AggregateReport& report) {
-  return serialize_report_payload(report);
-}
-
-std::string serialize_shard(const ShardData& shard) {
-  std::string plan_payload;
-  put_u64(plan_payload, shard.plan.shard_index);
-  put_u64(plan_payload, shard.plan.shard_count);
-  put_u64(plan_payload, shard.plan.job_count);
-  put_u64(plan_payload, shard.plan.begin);
-  put_u64(plan_payload, shard.plan.end);
-
-  std::string results_payload;
-  put_u64(results_payload, shard.results.size());
-  for (const HubRunResult& r : shard.results) put_result(results_payload, r);
-
   std::string out;
-  out.append(kMagic, sizeof kMagic);
-  put_u32(out, kVersion);
-  put_u32(out, kSectionCount);
-  put_section(out, kSectionPlan, plan_payload);
-  put_section(out, kSectionResults, results_payload);
-  put_section(out, kSectionReport, serialize_report_payload(shard.report));
-  put_u64(out, fnv1a(out));
+  const Writer put{out};
+  group_fields(report.totals(), put);
+  for (const auto* groups : {&report.by_scenario(), &report.by_scheduler()}) {
+    put(groups->size());
+    for (const auto& [key, stats] : *groups) {
+      put(key);
+      group_fields(stats, put);
+    }
+  }
   return out;
 }
 
+std::string serialize_shard(const ShardData& shard) {
+  std::string plan;
+  plan_fields(shard.plan, Writer{plan});
+  std::string results;
+  const Writer put{results};
+  put(shard.results.size());
+  for (const HubRunResult& r : shard.results) result_fields(r, put);
+  return codec::encode(kFormat, {plan, results, serialize_report(shard.report)});
+}
+
 ShardData parse_shard(std::string_view bytes) {
-  // Check order is the error contract: magic, then version, then the size
-  // walk (truncation), then the checksum, and only then is any payload
-  // byte interpreted.
-  if (bytes.size() < sizeof kMagic) {
-    throw ShardTruncatedError("shard input shorter than the magic (" +
-                              std::to_string(bytes.size()) + " bytes)");
-  }
-  if (bytes.substr(0, sizeof kMagic) != std::string_view(kMagic, sizeof kMagic)) {
-    throw ShardMagicError("shard input does not start with the ECSH magic");
-  }
-  if (bytes.size() < 12) {
-    throw ShardTruncatedError("shard input ends inside the header");
-  }
-  const auto u32_at = [&bytes](std::size_t pos) {
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-      v |= std::uint32_t{static_cast<unsigned char>(bytes[pos + i])} << (8 * i);
-    }
-    return v;
-  };
-  const auto u64_at = [&bytes](std::size_t pos) {
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      v |= std::uint64_t{static_cast<unsigned char>(bytes[pos + i])} << (8 * i);
-    }
-    return v;
-  };
-  const std::uint32_t version = u32_at(4);
-  if (version != kVersion) {
-    throw ShardVersionError("shard format version " + std::to_string(version) +
-                            "; this build reads version " + std::to_string(kVersion));
-  }
-  const std::uint32_t section_count = u32_at(8);
-
-  // Size walk: every section header and payload, plus the 8-byte checksum
-  // trailer, must fit — anything short is truncation.
-  std::size_t cursor = 12;
-  struct SectionRef {
-    std::uint32_t id;
-    std::size_t begin;
-    std::size_t size;
-  };
-  std::vector<SectionRef> sections;
-  sections.reserve(section_count);
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    if (bytes.size() - cursor < 12 + 8) {
-      throw ShardTruncatedError("shard input ends inside section header " +
-                                std::to_string(s));
-    }
-    const std::uint32_t id = u32_at(cursor);
-    const std::uint64_t payload_size = u64_at(cursor + 4);
-    if (payload_size > bytes.size() - cursor - 12 - 8) {
-      throw ShardTruncatedError("shard input ends inside section " + std::to_string(s) +
-                                " payload (" + std::to_string(payload_size) +
-                                " bytes promised)");
-    }
-    sections.push_back({id, cursor + 12, static_cast<std::size_t>(payload_size)});
-    cursor += 12 + static_cast<std::size_t>(payload_size);
-  }
-  if (bytes.size() - cursor < 8) {
-    throw ShardTruncatedError("shard input ends inside the checksum trailer");
-  }
-  if (bytes.size() - cursor > 8) {
-    throw ShardFormatError("shard input has trailing bytes after the checksum");
-  }
-  const std::uint64_t stored = u64_at(cursor);
-  const std::uint64_t computed = fnv1a(bytes.substr(0, cursor));
-  if (stored != computed) {
-    throw ShardChecksumError("shard checksum mismatch (corrupted payload)");
-  }
-
-  if (section_count != kSectionCount || sections[0].id != kSectionPlan ||
-      sections[1].id != kSectionResults || sections[2].id != kSectionReport) {
-    throw ShardFormatError("shard input does not carry the plan/results/report "
-                           "section sequence of format version 1");
-  }
+  const std::vector<std::string_view> sections = codec::decode(kFormat, bytes);
 
   ShardData shard;
   {
-    PayloadReader in(bytes.substr(sections[0].begin, sections[0].size));
-    shard.plan.shard_index = static_cast<std::size_t>(in.u64());
-    shard.plan.shard_count = static_cast<std::size_t>(in.u64());
-    shard.plan.job_count = static_cast<std::size_t>(in.u64());
-    shard.plan.begin = static_cast<std::size_t>(in.u64());
-    shard.plan.end = static_cast<std::size_t>(in.u64());
-    in.expect_end("plan");
-  }
-  try {
-    if (shard.plan != plan_shard(shard.plan.job_count, shard.plan.shard_index,
-                                 shard.plan.shard_count)) {
-      throw ShardFormatError("shard plan is not the canonical partition of its "
-                             "(job_count, shard_index, shard_count)");
-    }
-  } catch (const std::invalid_argument& e) {
-    throw ShardFormatError(std::string("shard plan: ") + e.what());
-  }
-  {
-    PayloadReader in(bytes.substr(sections[1].begin, sections[1].size));
-    const std::uint64_t count = in.u64();
-    if (count != shard.plan.size()) {
-      throw ShardFormatError("shard carries " + std::to_string(count) +
-                             " results but its plan owns " +
-                             std::to_string(shard.plan.size()) + " jobs");
-    }
-    shard.results.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t k = 0; k < count; ++k) {
-      HubRunResult r = read_result(in);
-      if (r.hub_id != shard.plan.begin + k) {
-        throw ShardFormatError("shard result " + std::to_string(k) +
-                               " carries hub_id " + std::to_string(r.hub_id) +
-                               "; its plan assigns " +
-                               std::to_string(shard.plan.begin + k));
+    codec::Reader in(sections[0], "shard plan");
+    plan_fields(shard.plan, Loader{in});
+    in.expect_end();
+    try {
+      if (shard.plan != plan_shard(shard.plan.job_count, shard.plan.shard_index,
+                                   shard.plan.shard_count)) {
+        in.fail("not the canonical partition of its (job_count, shard_index, shard_count)");
       }
-      shard.results.push_back(std::move(r));
+    } catch (const std::invalid_argument& e) {
+      in.fail(e.what());
     }
-    in.expect_end("results");
   }
   {
-    PayloadReader in(bytes.substr(sections[2].begin, sections[2].size));
-    shard.report = read_report_payload(in);
-    in.expect_end("report");
+    codec::Reader in(sections[1], "shard results");
+    const std::uint64_t count = in.count(8);
+    if (count != shard.plan.size()) {
+      in.fail("carries " + std::to_string(count) + " results but its plan owns " +
+              std::to_string(shard.plan.size()) + " jobs");
+    }
+    shard.results.resize(static_cast<std::size_t>(count));
+    for (std::size_t k = 0; k < shard.results.size(); ++k) {
+      HubRunResult& r = shard.results[k];
+      result_fields(r, Loader{in});
+      if (r.hub_id != shard.plan.begin + k) {
+        in.fail("result " + std::to_string(k) + " carries hub_id " +
+                std::to_string(r.hub_id) + "; its plan assigns " +
+                std::to_string(shard.plan.begin + k));
+      }
+    }
+    in.expect_end();
   }
-  if (!(AggregateReport(shard.results) == shard.report)) {
-    throw ShardFormatError("shard report section does not aggregate the shard's own "
-                           "results");
+  {
+    codec::Reader in(sections[2], "shard report");
+    GroupStats totals;
+    group_fields(totals, Loader{in});
+    auto by_scenario = read_keyed_groups(in, "scenario");
+    auto by_scheduler = read_keyed_groups(in, "scheduler");
+    in.expect_end();
+    shard.report = AggregateReport::from_groups(std::move(totals), std::move(by_scenario),
+                                                std::move(by_scheduler));
+    try {
+      if (!(AggregateReport(shard.results) == shard.report)) {
+        in.fail("does not aggregate the shard's own results");
+      }
+    } catch (const std::invalid_argument& e) {  // a non-finite result field
+      in.fail(e.what());
+    }
   }
   return shard;
 }
 
 void save_shard(const std::filesystem::path& path, const ShardData& shard) {
-  const std::string bytes = serialize_shard(shard);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw ShardIoError("save_shard: cannot open '" + path.string() + "' for writing");
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    throw ShardIoError("save_shard: write to '" + path.string() + "' failed");
-  }
+  codec::write_file(path, serialize_shard(shard));
 }
 
 ShardData load_shard(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ShardIoError("load_shard: cannot open '" + path.string() + "'");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw ShardIoError("load_shard: read from '" + path.string() + "' failed");
-  }
-  return parse_shard(bytes);
+  return parse_shard(codec::read_file(path));
 }
 
 }  // namespace ecthub::sim

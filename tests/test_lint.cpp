@@ -215,8 +215,8 @@ TEST(LintClean, FlushLoopIdiomIsSilent) {
 }
 
 TEST(LintClean, SerializerIdiomIsSilent) {
-  // The shard-file serializer idiom (byte-explicit writers, bounds-checked
-  // reader, FNV-1a trailer — see src/sim/shard_io.cpp) is all cold path; the
+  // The binary-codec serializer idiom (byte-explicit writers, bounds-checked
+  // reader, FNV-1a trailer — see src/common/codec.cpp) is all cold path; the
   // linter must not mistake its buffer growth or throwing reader for hot-path
   // or determinism violations.
   const auto findings = lint_fixture("clean_serializer.cpp");

@@ -1,6 +1,7 @@
 // Tests for the unified Policy API: the observation layout contract, the
 // batched-vs-scalar equivalence of decide_batch() for every policy kind,
 // and the DrlPolicy checkpoint round trip.
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "policy/drl_policy.hpp"
@@ -10,17 +11,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <numbers>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+// Largest operator-new request so far, kept by the replacement operator new
+// in largest_new_hook.cpp (a separate translation unit, so the compiler
+// never inlines the hook's malloc/free pairing into gtest's new/delete).
+extern std::atomic<std::size_t> g_largest_new;
 
 namespace ecthub::policy {
 namespace {
@@ -366,13 +374,26 @@ TEST(DrlPolicy, CheckpointRoundTripsThroughAStream) {
   cfg.head_dim = 12;
   DrlPolicy original(cfg, rng);
 
-  std::stringstream stream;
-  original.checkpoint().save(stream);
-  const DrlCheckpoint restored_ckpt = DrlCheckpoint::load(stream);
+  const DrlCheckpoint restored_ckpt = DrlCheckpoint::decode(original.checkpoint().encode());
   EXPECT_EQ(restored_ckpt.config.state_dim, cfg.state_dim);
   EXPECT_EQ(restored_ckpt.config.trunk_dim, cfg.trunk_dim);
   EXPECT_EQ(restored_ckpt.config.head_dim, cfg.head_dim);
   DrlPolicy restored(restored_ckpt);
+
+  // Every weight comes back bit for bit.
+  const auto want = original.parameters();
+  const auto got = restored.parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    ASSERT_EQ(got[p].name, want[p].name);
+    const auto& w = want[p].value->data();
+    const auto& g = got[p].value->data();
+    ASSERT_EQ(g.size(), w.size()) << want[p].name;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g[i]), std::bit_cast<std::uint64_t>(w[i]))
+          << want[p].name << "[" << i << "]";
+    }
+  }
 
   Rng obs_rng(55);
   for (std::size_t i = 0; i < 50; ++i) {
@@ -433,8 +454,14 @@ TEST(DrlPolicy, CheckpointLoadsAreIndependentOfThreadLoadHistory) {
 }
 
 TEST(DrlPolicy, LoadRejectsGarbageAndMismatchedBlobs) {
-  std::istringstream garbage("not a checkpoint at all, sorry");
-  EXPECT_THROW((void)DrlCheckpoint::load(garbage), std::runtime_error);
+  const std::string garbage = "not a checkpoint at all, sorry";
+  EXPECT_THROW((void)DrlCheckpoint::decode(garbage), codec::MagicError);
+  // So is a checkpoint from before the container: it opened with the
+  // host-endian u64 "ECTPDRL1" magic.
+  std::string old(8, '\0');
+  const std::uint64_t old_magic = 0x4543545044524c31ULL;
+  for (unsigned i = 0; i < 8; ++i) old[i] = static_cast<char>((old_magic >> (8 * i)) & 0xffu);
+  EXPECT_THROW((void)DrlCheckpoint::decode(old + garbage), codec::MagicError);
 
   // A blob serialized for one architecture must not load into another.
   nn::Rng rng(9);
@@ -444,7 +471,60 @@ TEST(DrlPolicy, LoadRejectsGarbageAndMismatchedBlobs) {
   small.head_dim = 4;
   DrlCheckpoint ckpt = DrlPolicy(small, rng).checkpoint();
   ckpt.config.trunk_dim = 16;  // lie about the shape
-  EXPECT_THROW((void)DrlPolicy{ckpt}, std::runtime_error);
+  EXPECT_THROW((void)DrlPolicy{ckpt}, codec::FormatError);
+}
+
+// ------------------------------------------------ checkpoint corruption
+
+DrlCheckpoint small_checkpoint(std::uint64_t seed) {
+  nn::Rng rng(seed);
+  DrlPolicyConfig cfg;
+  cfg.state_dim = ObservationLayout{}.dim();
+  cfg.trunk_dim = 16;
+  cfg.head_dim = 8;
+  return DrlPolicy(cfg, rng).checkpoint();
+}
+
+TEST(DrlCheckpointCodec, FlippedWeightByteThrowsChecksumError) {
+  const std::string pristine = small_checkpoint(5).encode();
+  // The params section runs to the 8-byte trailer; its last bytes are the
+  // final tensor's weights.
+  for (const std::size_t from_end : {std::size_t{9}, std::size_t{100}, std::size_t{400}}) {
+    std::string bytes = pristine;
+    const std::size_t at = bytes.size() - from_end;
+    bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ 0x01u);
+    EXPECT_THROW((void)DrlCheckpoint::decode(bytes), codec::ChecksumError) << "byte " << at;
+  }
+}
+
+TEST(DrlCheckpointCodec, ForgedConfigNeverSizesANetwork) {
+  // A checksummed container whose config promises a network far larger
+  // than its params section is a FormatError at decode, before any layer
+  // is allocated from it.
+  DrlCheckpoint ckpt = small_checkpoint(7);
+  ckpt.config.trunk_dim = std::uint64_t{1} << 40;
+  EXPECT_THROW((void)DrlCheckpoint::decode(ckpt.encode()), codec::FormatError);
+  ckpt.config.trunk_dim = 16;
+  ckpt.config.action_count = 1;
+  EXPECT_THROW((void)DrlCheckpoint::decode(ckpt.encode()), codec::FormatError);
+}
+
+TEST(DrlCheckpointCodec, ForgedNameLengthThrowsFormatErrorWithoutLargeAllocation) {
+  // The params payload opens with the u64 tensor count, then the first
+  // tensor's u64 name length.  Forge that length past the bytes left and
+  // reseal the container, so the forgery reaches the record reader.
+  for (const std::uint64_t forged : {std::uint64_t{1} << 33, std::uint64_t{1} << 62}) {
+    DrlCheckpoint ckpt = small_checkpoint(8);
+    for (unsigned i = 0; i < 8; ++i) {
+      ckpt.blob[8 + i] = static_cast<char>((forged >> (8 * i)) & 0xffu);
+    }
+    const std::string bytes = ckpt.encode();
+    const DrlCheckpoint decoded = DrlCheckpoint::decode(bytes);
+    g_largest_new.store(0);
+    EXPECT_THROW((void)DrlPolicy{decoded}, codec::FormatError) << "length " << forged;
+    EXPECT_LE(g_largest_new.load(), bytes.size())
+        << "length " << forged << " sized an allocation larger than the input";
+  }
 }
 
 TEST(DrlPolicy, ValidatesItsConfig) {

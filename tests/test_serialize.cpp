@@ -1,11 +1,12 @@
 // Round-trip tests for model checkpointing.
 #include "causal/ect_price.hpp"
+#include "common/codec.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 namespace ecthub::nn {
 namespace {
@@ -20,11 +21,10 @@ TEST(Serialize, MlpRoundTripReproducesOutputs) {
   // Different inits -> different outputs.
   EXPECT_NE(a.forward(x).data(), b.forward(x).data());
 
-  std::stringstream buf;
   auto pa = a.parameters();
-  save_parameters(buf, pa);
+  const std::string buf = encode_parameters(pa);
   auto pb = b.parameters();
-  load_parameters(buf, pb);
+  decode_parameters(buf, pb);
   EXPECT_EQ(a.forward(x).data(), b.forward(x).data());
 }
 
@@ -32,41 +32,38 @@ TEST(Serialize, NameMismatchThrows) {
   Rng rng(3);
   Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "alpha");
   Mlp b(MlpConfig{.layer_dims = {2, 2}}, rng, "beta");
-  std::stringstream buf;
   auto pa = a.parameters();
-  save_parameters(buf, pa);
+  const std::string buf = encode_parameters(pa);
   auto pb = b.parameters();
-  EXPECT_THROW(load_parameters(buf, pb), std::runtime_error);
+  EXPECT_THROW(decode_parameters(buf, pb), codec::FormatError);
 }
 
 TEST(Serialize, ShapeMismatchThrows) {
   Rng rng(4);
   Mlp a(MlpConfig{.layer_dims = {2, 3}}, rng, "m");
   Mlp b(MlpConfig{.layer_dims = {2, 4}}, rng, "m");
-  std::stringstream buf;
   auto pa = a.parameters();
-  save_parameters(buf, pa);
+  const std::string buf = encode_parameters(pa);
   auto pb = b.parameters();
-  EXPECT_THROW(load_parameters(buf, pb), std::runtime_error);
+  EXPECT_THROW(decode_parameters(buf, pb), codec::FormatError);
 }
 
 TEST(Serialize, TruncatedStreamThrows) {
   Rng rng(5);
   Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "m");
-  std::stringstream buf;
   auto pa = a.parameters();
-  save_parameters(buf, pa);
-  const std::string full = buf.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(load_parameters(cut, pa), std::runtime_error);
+  const std::string full = encode_parameters(pa);
+  const std::string cut = full.substr(0, full.size() / 2);
+  EXPECT_THROW(decode_parameters(cut, pa), codec::FormatError);
 }
 
 TEST(Serialize, BadMagicThrows) {
-  std::stringstream buf("not a checkpoint at all........");
+  // Records carry no magic of their own: garbage fails the count check.
+  const std::string buf = "not a checkpoint at all........";
   Rng rng(6);
   Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "m");
   auto pa = a.parameters();
-  EXPECT_THROW(load_parameters(buf, pa), std::runtime_error);
+  EXPECT_THROW(decode_parameters(buf, pa), codec::FormatError);
 }
 
 TEST(Serialize, EctPriceModelCheckpointRestoresPredictions) {
@@ -92,11 +89,10 @@ TEST(Serialize, EctPriceModelCheckpointRestoresPredictions) {
   trained.fit(items);
   EctPriceModel restored(cfg, Rng(999));
 
-  std::stringstream buf;
   auto pt = trained.parameters();
-  save_parameters(buf, pt);
+  const std::string buf = encode_parameters(pt);
   auto pr = restored.parameters();
-  load_parameters(buf, pr);
+  decode_parameters(buf, pr);
 
   const auto a = trained.predict_one(0, 5);
   const auto b = restored.predict_one(0, 5);

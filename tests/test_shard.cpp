@@ -268,7 +268,7 @@ TEST(ShardIo, TruncatedInputIsRejected) {
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{2}, std::size_t{6}, std::size_t{13},
         bytes.size() / 2, bytes.size() - 9, bytes.size() - 1}) {
-    EXPECT_THROW((void)parse_shard(bytes.substr(0, keep)), ShardTruncatedError)
+    EXPECT_THROW((void)parse_shard(bytes.substr(0, keep)), codec::TruncatedError)
         << "prefix of " << keep << " bytes";
   }
 }
@@ -276,14 +276,14 @@ TEST(ShardIo, TruncatedInputIsRejected) {
 TEST(ShardIo, BadMagicIsRejected) {
   std::string bytes = serialize_shard(fake_shard(3));
   bytes[0] = 'X';
-  EXPECT_THROW((void)parse_shard(bytes), ShardMagicError);
-  EXPECT_THROW((void)parse_shard("not a shard file at all"), ShardMagicError);
+  EXPECT_THROW((void)parse_shard(bytes), codec::MagicError);
+  EXPECT_THROW((void)parse_shard("not a shard file at all"), codec::MagicError);
 }
 
 TEST(ShardIo, FutureVersionIsRejected) {
   std::string bytes = serialize_shard(fake_shard(3));
   bytes[4] = 2;  // version u32 lives at offset 4 (little-endian)
-  EXPECT_THROW((void)parse_shard(bytes), ShardVersionError);
+  EXPECT_THROW((void)parse_shard(bytes), codec::VersionError);
 }
 
 TEST(ShardIo, FlippedPayloadByteIsRejected) {
@@ -293,14 +293,14 @@ TEST(ShardIo, FlippedPayloadByteIsRejected) {
   for (const std::size_t at : {std::size_t{40}, pristine.size() / 2, pristine.size() - 20}) {
     std::string bytes = pristine;
     bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ 0x40u);
-    EXPECT_THROW((void)parse_shard(bytes), ShardChecksumError) << "byte " << at;
+    EXPECT_THROW((void)parse_shard(bytes), codec::ChecksumError) << "byte " << at;
   }
 }
 
 TEST(ShardIo, TrailingGarbageIsRejected) {
   std::string bytes = serialize_shard(fake_shard(2));
   bytes += "extra";
-  EXPECT_THROW((void)parse_shard(bytes), ShardFormatError);
+  EXPECT_THROW((void)parse_shard(bytes), codec::FormatError);
 }
 
 TEST(ShardIo, InconsistentReportSectionIsRejected) {
@@ -308,18 +308,18 @@ TEST(ShardIo, InconsistentReportSectionIsRejected) {
   // structurally corrupt even with a valid checksum.
   ShardData shard = fake_shard(3);
   shard.report.add(fake_result(99));
-  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), ShardFormatError);
+  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), codec::FormatError);
 }
 
 TEST(ShardIo, MismatchedHubIdsAreRejected) {
   ShardData shard = fake_shard(3, 1, 2, 6);  // owns hubs [3, 6)
   shard.results[1].hub_id = 0;
-  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), ShardFormatError);
+  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), codec::FormatError);
 }
 
 TEST(ShardIo, MissingFileIsIoError) {
   EXPECT_THROW((void)load_shard(fs::path(testing::TempDir()) / "ecthub_no_such.ecsh"),
-               ShardIoError);
+               codec::Error);
 }
 
 // ------------------------------------------------------------ report groups
@@ -416,7 +416,7 @@ TEST(ShardDriverTest, MergeRejectsIncompleteOrMixedShardSets) {
       (void)ShardDriver::merge_shard_files({dir / "a.ecsh", dir / "other.ecsh"}),
       ShardDriverError);
   EXPECT_THROW((void)ShardDriver::merge_shard_files({dir / "a.ecsh", dir / "missing.ecsh"}),
-               ShardIoError);
+               codec::Error);
 
   // The complete set merges, in either listing order.
   const ShardMerge merged =
