@@ -59,14 +59,14 @@ int main(int argc, char** argv) {
   }
   {
     core::DrlExperimentConfig drl;
-    drl.env = env_cfg;
-    drl.train_iterations = train_iters;
+    drl.train.env = env_cfg;
+    drl.train.iterations = train_iters;
     drl.test_episodes = episodes;
     const auto result = core::run_hub_experiment(hub, env_cfg.discount_by_hour, drl,
                                                  "ECT-DRL");
     sched_table.begin_row()
         .add("ECT-DRL (PPO)")
-        .add_double(result.avg_daily_reward * static_cast<double>(drl.env.episode_days), 2)
+        .add_double(result.avg_daily_reward * static_cast<double>(env_cfg.episode_days), 2)
         .add("-");
   }
   sched_table.print(std::cout);

@@ -76,11 +76,11 @@ inline MethodSchedules train_pricing_stage(const EctPriceSetup& setup, std::size
 ///   --ppo-episodes (6 per iteration)
 inline core::DrlExperimentConfig make_drl_config(const CliFlags& flags) {
   core::DrlExperimentConfig cfg;
-  cfg.env.episode_days = static_cast<std::size_t>(flags.get_int("episode-days", 30));
-  cfg.env.discount_fraction = flags.get_double("discount", 0.2);
-  cfg.ppo.episodes_per_iteration =
+  cfg.train.env.episode_days = static_cast<std::size_t>(flags.get_int("episode-days", 30));
+  cfg.train.env.discount_fraction = flags.get_double("discount", 0.2);
+  cfg.train.ppo.episodes_per_iteration =
       static_cast<std::size_t>(flags.get_int("ppo-episodes", 6));
-  cfg.train_iterations = static_cast<std::size_t>(flags.get_int("train-iters", 12));
+  cfg.train.iterations = static_cast<std::size_t>(flags.get_int("train-iters", 12));
   cfg.test_episodes = static_cast<std::size_t>(flags.get_int("test-episodes", 3));
   return cfg;
 }

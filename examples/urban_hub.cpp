@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   }
 
   core::DrlExperimentConfig drl;
-  drl.env = env_cfg;
-  drl.train_iterations = train_iters;
+  drl.train.env = env_cfg;
+  drl.train.iterations = train_iters;
   drl.test_episodes = episodes;
   std::cout << "training PPO for " << train_iters << " iterations...\n";
   const auto result =

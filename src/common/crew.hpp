@@ -8,9 +8,12 @@
 // N + 1), and the call returns once every participant has finished.
 // Exceptions are caught inside the phase (so a throwing participant still
 // reaches the completion barrier — no deadlock) and the first one recorded
-// is rethrown from run() on the coordinator.
+// is rethrown from run() on the coordinator.  A crew of one spawns no
+// thread: run(task) calls task(0) inline on the caller, so serial callers
+// need no separate code path.
 #pragma once
 
+#include <algorithm>
 #include <barrier>
 #include <cstddef>
 #include <exception>
@@ -20,6 +23,14 @@
 #include <vector>
 
 namespace ecthub {
+
+/// Resolves a configured thread count for `work_items` independent items:
+/// 0 means hardware concurrency, and the result is clamped to
+/// [1, work_items] so no participant is ever handed an empty share.
+[[nodiscard]] inline std::size_t crew_size_for(std::size_t threads, std::size_t work_items) {
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  return std::max<std::size_t>(1, std::min(threads, work_items));
+}
 
 class BarrierCrew {
  public:

@@ -2,7 +2,9 @@
 //
 // For each hub and each pricing method (ECT-Price / OR / IPS / DR), the
 // driver wires the method's discount schedule into the hub environment,
-// trains an ECT-DRL (PPO) scheduler on it, then evaluates the greedy policy:
+// trains an ECT-DRL (PPO) scheduler on replicas of the hub with the same
+// fleet recipe city sweeps deploy, then tests the exported greedy actor on
+// the hub's own, held-out episode stream:
 //   - Table III: average daily reward over the test episodes;
 //   - Fig. 13:  the per-day reward series of one test episode.
 #pragma once
@@ -15,39 +17,6 @@
 #include <vector>
 
 namespace ecthub::core {
-
-struct DrlExperimentConfig {
-  HubEnvConfig env;
-  rl::PpoConfig ppo;
-  std::size_t train_iterations = 10;  ///< PPO collect+update cycles
-  std::size_t test_episodes = 5;
-  std::uint64_t ppo_seed = 99;
-};
-
-struct HubMethodResult {
-  std::string hub;
-  std::string method;
-  double avg_daily_reward = 0.0;        ///< Table III cell
-  std::vector<double> daily_rewards;    ///< Fig. 13 series (one test episode)
-  std::vector<double> train_curve;      ///< mean episode reward per iteration
-};
-
-/// Trains and evaluates ECT-DRL on one hub under one hourly discount schedule.
-[[nodiscard]] HubMethodResult run_hub_experiment(const HubConfig& hub,
-                                                 const std::vector<bool>& discount_by_hour,
-                                                 const DrlExperimentConfig& cfg,
-                                                 const std::string& method_name);
-
-/// Average of the daily-profit means across test episodes.
-[[nodiscard]] double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep);
-
-/// Serializes the actor path (shared trunk + actor head) of a trained
-/// actor-critic into a deployable DrlPolicy checkpoint.  The critic head is
-/// training-time baggage and is dropped; parameter names carry over, so the
-/// checkpoint loads straight into policy::DrlPolicy and any architecture
-/// mismatch fails loudly at load time.  Const: a const trainer can be
-/// checkpointed mid-training (e.g. from the rollout collector).
-[[nodiscard]] policy::DrlCheckpoint export_actor_checkpoint(const rl::ActorCritic& ac);
 
 /// In-process training recipe behind SchedulerKind::kDrl: PPO over a fleet
 /// of env lanes collected in lockstep, actor exported for deployment.
@@ -63,6 +32,44 @@ struct DrlFleetTrainConfig {
   /// concurrency).  Any value trains bit-identical weights.
   std::size_t collector_threads = 1;
 };
+
+/// Table III / Fig. 13 protocol: train with the fleet recipe (cfg.train,
+/// replica lanes of the hub), then test the deployed actor on the hub's own
+/// episode stream.
+struct DrlExperimentConfig {
+  DrlFleetTrainConfig train;  ///< env.discount_by_hour is the method's schedule
+  std::size_t test_episodes = 5;
+};
+
+struct HubMethodResult {
+  std::string hub;
+  std::string method;
+  double avg_daily_reward = 0.0;        ///< Table III cell
+  std::vector<double> daily_rewards;    ///< Fig. 13 series (one test episode)
+  std::vector<double> train_curve;      ///< mean episode reward per iteration
+};
+
+/// Trains and evaluates ECT-DRL on one hub under one hourly discount schedule
+/// (which replaces cfg.train.env.discount_by_hour).  Training is exactly
+/// train_drl_checkpoint(hub, cfg.train with the schedule); the exported
+/// actor then plays cfg.test_episodes episodes of EctHubEnv(hub, ...), whose
+/// stream (hub.seed) is disjoint from the mix_seed(hub.seed, lane) replicas
+/// it trained on.
+[[nodiscard]] HubMethodResult run_hub_experiment(const HubConfig& hub,
+                                                 const std::vector<bool>& discount_by_hour,
+                                                 const DrlExperimentConfig& cfg,
+                                                 const std::string& method_name);
+
+/// Average of the daily-profit means across test episodes.
+[[nodiscard]] double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep);
+
+/// Serializes the actor path (shared trunk + actor head) of a trained
+/// actor-critic into a deployable DrlPolicy checkpoint.  The critic head is
+/// training-time baggage and is dropped; parameter names carry over, so the
+/// checkpoint loads straight into policy::DrlPolicy and any architecture
+/// mismatch fails loudly at load time.  Const: a const trainer can be
+/// checkpointed mid-training (e.g. from the rollout collector).
+[[nodiscard]] policy::DrlCheckpoint export_actor_checkpoint(const rl::ActorCritic& ac);
 
 /// One rollout lane of a multi-hub training run.
 struct DrlTrainLane {

@@ -32,7 +32,8 @@ HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
   if (!cfg.discount_by_hour.empty() && cfg.discount_by_hour.size() != 24) {
     throw std::invalid_argument("HubEnvConfig: discount_by_hour must have 24 entries");
   }
-  if (cfg.discount_fraction < 0.0 || cfg.discount_fraction >= 1.0) {
+  // Range checks are written as !(in range) so that NaN fails them.
+  if (!(cfg.discount_fraction >= 0.0 && cfg.discount_fraction < 1.0)) {
     throw std::invalid_argument("HubEnvConfig: discount_fraction out of [0, 1)");
   }
   if (!(0.0 <= cfg.init_soc_lo && cfg.init_soc_lo <= cfg.init_soc_hi &&
@@ -40,12 +41,12 @@ HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
     throw std::invalid_argument("HubEnvConfig: bad init SoC range");
   }
   if (cfg.coupling.enabled) {
-    if (cfg.coupling.through_rate < 0.0) {
-      throw std::invalid_argument("HubCouplingConfig: through_rate < 0");
+    if (!(std::isfinite(cfg.coupling.through_rate) && cfg.coupling.through_rate >= 0.0)) {
+      throw std::invalid_argument("HubCouplingConfig: through_rate not finite and >= 0");
     }
-    if (cfg.coupling.outage.rate_per_month < 0.0 ||
-        cfg.coupling.outage.min_duration_h < 0.0 ||
-        cfg.coupling.outage.max_duration_h < cfg.coupling.outage.min_duration_h) {
+    if (!(cfg.coupling.outage.rate_per_month >= 0.0 &&
+          cfg.coupling.outage.min_duration_h >= 0.0 &&
+          cfg.coupling.outage.max_duration_h >= cfg.coupling.outage.min_duration_h)) {
       throw std::invalid_argument("HubCouplingConfig: bad OutageModel");
     }
   }

@@ -4,46 +4,39 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace ecthub::rl {
 
-PpoTrainer::PpoTrainer(PpoConfig cfg, ActorCriticConfig ac_cfg, nn::Rng rng)
-    : cfg_(cfg), rng_(rng), ac_(ac_cfg, rng_), opt_(cfg.adam) {
-  if (cfg_.clip_epsilon <= 0.0 || cfg_.clip_epsilon >= 1.0) {
-    throw std::invalid_argument("PpoConfig: clip_epsilon out of (0, 1)");
-  }
-  if (cfg_.minibatch_size == 0) throw std::invalid_argument("PpoConfig: minibatch_size == 0");
-  if (cfg_.episodes_per_iteration == 0) {
-    throw std::invalid_argument("PpoConfig: episodes_per_iteration == 0");
-  }
+namespace {
+
+// Every check is written so that NaN fails it: a comparison with NaN is
+// false, so `ok` must be the in-range condition, never its negation.
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("PpoConfig: ") + what);
 }
 
-double PpoTrainer::collect_episode(Env& env, RolloutBuffer& buffer) {
-  std::vector<double> state = env.reset();
-  double total_reward = 0.0;
-  bool done = false;
-  while (!done) {
-    const ActorCritic::Sample sample = ac_.act(state, rng_);
-    const StepResult result = env.step(sample.action);
-    Transition t;
-    t.state = state;
-    t.action = sample.action;
-    t.log_prob = sample.log_prob;
-    t.reward = result.reward;
-    t.value = sample.value;
-    t.done = result.done;
-    t.truncated = result.done && result.truncated;
-    if (t.truncated) {
-      // Time-limit end: GAE bootstraps the critic's view of the final state
-      // instead of assuming a terminal (the paper's MDP has no terminal).
-      t.bootstrap_value = ac_.value_of(result.next_state, value_ws_);
-    }
-    buffer.add(std::move(t));
-    total_reward += result.reward;
-    state = result.next_state;
-    done = result.done;
-  }
-  return total_reward;
+bool finite_non_negative(double x) { return std::isfinite(x) && x >= 0.0; }
+
+}  // namespace
+
+PpoTrainer::PpoTrainer(PpoConfig cfg, ActorCriticConfig ac_cfg, nn::Rng rng)
+    : cfg_(cfg), rng_(rng), ac_(ac_cfg, rng_), opt_(cfg.adam) {
+  require(cfg_.gamma >= 0.0 && cfg_.gamma <= 1.0, "gamma out of [0, 1]");
+  require(cfg_.gae_lambda >= 0.0 && cfg_.gae_lambda <= 1.0, "gae_lambda out of [0, 1]");
+  require(cfg_.clip_epsilon > 0.0 && cfg_.clip_epsilon < 1.0, "clip_epsilon out of (0, 1)");
+  require(finite_non_negative(cfg_.value_coeff), "value_coeff not finite and >= 0");
+  require(finite_non_negative(cfg_.entropy_coeff), "entropy_coeff not finite and >= 0");
+  require(cfg_.update_epochs > 0, "update_epochs == 0");
+  require(cfg_.minibatch_size > 0, "minibatch_size == 0");
+  require(cfg_.episodes_per_iteration > 0, "episodes_per_iteration == 0");
+  const nn::AdamConfig& adam = cfg_.adam;
+  require(std::isfinite(adam.lr) && adam.lr > 0.0, "adam.lr not finite and > 0");
+  require(adam.beta1 >= 0.0 && adam.beta1 < 1.0, "adam.beta1 out of [0, 1)");
+  require(adam.beta2 >= 0.0 && adam.beta2 < 1.0, "adam.beta2 out of [0, 1)");
+  require(std::isfinite(adam.eps) && adam.eps > 0.0, "adam.eps not finite and > 0");
+  require(finite_non_negative(adam.weight_decay), "adam.weight_decay not finite and >= 0");
+  require(finite_non_negative(adam.grad_clip), "adam.grad_clip not finite and >= 0");
 }
 
 PpoUpdateStats PpoTrainer::update(const RolloutBuffer& buffer) {
@@ -135,23 +128,6 @@ PpoUpdateStats PpoTrainer::update(const RolloutBuffer& buffer) {
     agg.clip_fraction /= b;
   }
   return agg;
-}
-
-std::vector<PpoIterationStats> PpoTrainer::train(Env& env, std::size_t iterations) {
-  std::vector<PpoIterationStats> history;
-  history.reserve(iterations);
-  for (std::size_t it = 0; it < iterations; ++it) {
-    RolloutBuffer buffer;
-    double reward_acc = 0.0;
-    for (std::size_t e = 0; e < cfg_.episodes_per_iteration; ++e) {
-      reward_acc += collect_episode(env, buffer);
-    }
-    PpoIterationStats stats;
-    stats.mean_episode_reward = reward_acc / static_cast<double>(cfg_.episodes_per_iteration);
-    stats.update = update(buffer);
-    history.push_back(stats);
-  }
-  return history;
 }
 
 std::vector<PpoIterationStats> PpoTrainer::train_fleet(const std::vector<Env*>& envs,

@@ -48,15 +48,15 @@ struct PpoIterationStats {
 
 class PpoTrainer {
  public:
+  /// Throws std::invalid_argument on any out-of-range or non-finite
+  /// PpoConfig number (NaN included), before any training work.
   PpoTrainer(PpoConfig cfg, ActorCriticConfig ac_cfg, nn::Rng rng);
 
-  /// Runs `iterations` collect+update cycles on `env`.
-  std::vector<PpoIterationStats> train(Env& env, std::size_t iterations);
-
-  /// Fleet-scale training: `iterations` cycles of vectorized lockstep
+  /// The training loop: `iterations` cycles of vectorized lockstep
   /// collection over N env lanes (episodes_per_iteration episodes *per
   /// lane*, batched stochastic forwards via ActorCritic::act_rows) followed
-  /// by the standard PPO update on the lane-merged buffer.  Collection
+  /// by the PPO update on the lane-merged buffer.  A single env is a
+  /// one-lane fleet: train_fleet({&env}, iterations).  Collection
   /// samples from the collector's per-lane streams — never from the
   /// trainer's rng_ — and the update path is untouched, so the trained
   /// weights are bit-identical at any VecCollectorConfig::threads.
@@ -79,14 +79,10 @@ class PpoTrainer {
   PpoUpdateStats update(const RolloutBuffer& buffer);
 
  private:
-  /// Collects one full episode into `buffer`; returns its total reward.
-  double collect_episode(Env& env, RolloutBuffer& buffer);
-
   PpoConfig cfg_;
   nn::Rng rng_;
   ActorCritic ac_;
   nn::Adam opt_;
-  ActorCritic::RowsWorkspace value_ws_;  ///< truncation-bootstrap scratch
 };
 
 }  // namespace ecthub::rl

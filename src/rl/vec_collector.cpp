@@ -4,9 +4,9 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <span>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace ecthub::rl {
@@ -27,18 +27,13 @@ VecRolloutCollector::VecRolloutCollector(std::vector<Env*> envs, VecCollectorCon
     throw std::invalid_argument("VecRolloutCollector: duplicate env lane");
   }
 
-  crew_size_ = cfg_.threads;
-  if (crew_size_ == 0) {
-    crew_size_ = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  crew_size_ = std::min(crew_size_, envs_.size());
-
   const std::size_t n = envs_.size();
   rngs_.reserve(n);
   for (std::size_t l = 0; l < n; ++l) rngs_.emplace_back(ecthub::mix_seed(cfg_.seed, l));
   buffers_.resize(n);
   lane_reward_.assign(n, 0.0);
   lane_episodes_.assign(n, 0);
+  crew_ = std::make_unique<BarrierCrew>(crew_size_for(cfg_.threads, n));
 }
 
 VecRolloutCollector::~VecRolloutCollector() = default;
@@ -79,8 +74,8 @@ VecRolloutCollector::Stats VecRolloutCollector::collect(const ActorCritic& ac,
   remaining_.assign(n, episodes_per_lane);
   lane_reward_.assign(n, 0.0);
   lane_episodes_.assign(n, 0);
-  workspaces_.resize(crew_size_);
-  if (crew_size_ > 1 && !crew_) crew_ = std::make_unique<BarrierCrew>(crew_size_);
+  const std::size_t crew_size = crew_->size();
+  workspaces_.resize(crew_size);
 
   const auto row_span = [&](std::size_t lane) {
     return std::span<double>(obs_.data().data() + lane * dim, dim);
@@ -92,9 +87,9 @@ VecRolloutCollector::Stats VecRolloutCollector::collect(const ActorCritic& ac,
   // One fused phase per fleet slot: episode turnover, the member's row-block
   // stochastic forward, then step + record.  Every lane is touched by
   // exactly one member, so no phase-internal synchronization is needed.
-  const auto step_partition = [&](std::size_t member) {
-    const std::size_t lo = member * n / crew_size_;
-    const std::size_t hi = (member + 1) * n / crew_size_;
+  const std::function<void(std::size_t)> step_partition = [&](std::size_t member) {
+    const std::size_t lo = member * n / crew_size;
+    const std::size_t hi = (member + 1) * n / crew_size;
     for (std::size_t lane = lo; lane < hi; ++lane) {
       if (needs_reset_[lane] != 0) {
         if (remaining_[lane] == 0) {
@@ -140,11 +135,7 @@ VecRolloutCollector::Stats VecRolloutCollector::collect(const ActorCritic& ac,
       any_work = remaining_[lane] > 0 || needs_reset_[lane] == 0;
     }
     if (!any_work) break;
-    if (crew_) {
-      crew_->run(step_partition);
-    } else {
-      step_partition(0);
-    }
+    crew_->run(step_partition);
   }
 
   Stats stats = finish_stats();

@@ -13,10 +13,11 @@
 //    streams persist across collect() calls and are never shared, so every
 //    transition is a pure function of (envs, actor weights, seed, episode
 //    index) — independent of thread count and of the other lanes.
-//  * With threads > 1, lanes split into fixed contiguous partitions across a
-//    BarrierCrew; each member drives its partition through one fused phase
-//    per slot (episode turnover -> act_rows on its contiguous row block with
-//    its own RowsWorkspace -> step + record).  A lane is touched by exactly
+//  * Lanes split into fixed contiguous partitions across a BarrierCrew (a
+//    crew of one is the calling thread alone); each member drives its
+//    partition through one fused phase per slot (episode turnover ->
+//    act_rows on its contiguous row block with its own RowsWorkspace ->
+//    step + record).  A lane is touched by exactly
 //    one thread, row-block GEMMs are bit-identical at any split, and the
 //    per-lane RNG streams replay exactly — so the collected buffers are
 //    bit-identical to the serial per-lane reference (collect_serial) at any
@@ -42,8 +43,9 @@ class BarrierCrew;  // common/crew.hpp
 namespace ecthub::rl {
 
 struct VecCollectorConfig {
-  /// Crew size for the per-slot phase; 0 = hardware concurrency, 1 = serial
-  /// in-thread (the default).  Any value collects bit-identical buffers.
+  /// Crew size for the per-slot phase; 0 = hardware concurrency, 1 = the
+  /// calling thread alone (the default).  Any value collects bit-identical
+  /// buffers.
   std::size_t threads = 1;
   /// Base of the per-lane sampling streams: lane l draws from
   /// Rng(mix_seed(seed, l)).
@@ -87,12 +89,11 @@ class VecRolloutCollector {
 
   std::vector<Env*> envs_;
   VecCollectorConfig cfg_;
-  std::size_t crew_size_ = 1;  ///< resolved crew size (clamped to lanes)
   std::vector<nn::Rng> rngs_;  ///< per-lane sampling streams, persistent
   std::vector<RolloutBuffer> buffers_;
   std::vector<double> lane_reward_;      ///< per-lane reward accumulators
   std::vector<std::size_t> lane_episodes_;
-  std::unique_ptr<BarrierCrew> crew_;    ///< lazily built when threads > 1
+  std::unique_ptr<BarrierCrew> crew_;    ///< per-slot phase crew (clamped to lanes)
 
   // Lockstep slot state (sized to lanes, reused across collect calls).
   nn::Matrix obs_;                       ///< one observation row per lane

@@ -28,11 +28,6 @@ namespace {
 // tag so a RandomPolicy never replays the env's own draws.
 constexpr std::uint64_t kPolicySeedTag = 0xec7ec7ec7ec7ec7eULL;
 
-// The barrier-synchronized worker crew of the threaded lockstep path lives
-// in common/crew.hpp (it is shared with rl::VecRolloutCollector); the alias
-// keeps the lockstep code reading in fleet terms.
-using LockstepCrew = ecthub::BarrierCrew;
-
 // Closes one finished episode into the job's result: the SoC digest when
 // this episode recorded one, then the ledger totals.  Shared by run_job and
 // the lockstep lanes so both tally in the same order.
@@ -214,11 +209,8 @@ std::vector<HubRunResult> FleetRunner::run(const std::vector<FleetJob>& jobs) co
   std::vector<HubRunResult> results(jobs.size());
   if (jobs.empty()) return results;
 
-  std::size_t threads = cfg_.threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min(threads, jobs.size());
-
-  if (threads <= 1) {
+  const std::size_t threads = crew_size_for(cfg_.threads, jobs.size());
+  if (threads == 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       results[i] = run_job(jobs[i], cfg_.hub_id_offset + i, cfg_);
     }
@@ -519,9 +511,7 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     }
   };
 
-  std::size_t threads = cfg_.lockstep_threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min(threads, lanes.size());
+  const std::size_t threads = crew_size_for(cfg_.lockstep_threads, lanes.size());
   const bool worker_gemm = cfg_.lockstep_gemm == LockstepGemm::kWorker;
 
   // The coupled exchange runs after phase C of every slot, on the
@@ -532,60 +522,42 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     if (bus) bus->exchange();
   };
 
-  if (threads <= 1) {
-    if (worker_gemm) {
-      std::vector<WorkerPlan> plans = make_plans(1);
-      while (active_count.load(std::memory_order_relaxed) > 0) {
-        for (Lane& lane : lanes) phase_a(lane);
-        infer_partition(plans[0]);
-        for (Lane& lane : lanes) phase_c(lane);
-        exchange();
-      }
-    } else {
-      while (active_count.load(std::memory_order_relaxed) > 0) {
-        for (Lane& lane : lanes) phase_a(lane);
-        phase_b();
-        for (Lane& lane : lanes) phase_c(lane);
-        exchange();
-      }
+  // Fixed contiguous lane partitions: each lane is touched by exactly one
+  // worker per phase and the crew's barriers order the phases, so the
+  // per-lane operation sequence is the same at any thread count (a crew of
+  // one runs every phase inline on this thread).
+  const auto for_partition = [&](std::size_t w, const auto& body) {
+    const std::size_t begin = lanes.size() * w / threads;
+    const std::size_t end = lanes.size() * (w + 1) / threads;
+    for (std::size_t i = begin; i < end; ++i) body(lanes[i]);
+  };
+  BarrierCrew crew(threads);
+  if (worker_gemm) {
+    // One fused phase per slot: a worker's A, row-block inference and C
+    // touch only its own lanes and group-matrix rows, so the only barrier
+    // needed is the slot boundary itself.
+    std::vector<WorkerPlan> plans = make_plans(threads);
+    const std::function<void(std::size_t)> run_slot = [&](std::size_t w) {
+      for_partition(w, phase_a);
+      infer_partition(plans[w]);
+      for_partition(w, phase_c);
+    };
+    while (active_count.load(std::memory_order_relaxed) > 0) {
+      crew.run(run_slot);
+      exchange();
     }
   } else {
-    // Fixed contiguous lane partitions: each lane is touched by exactly one
-    // worker per phase and the crew's barriers order the phases, so the
-    // per-lane operation sequence is identical to the single-threaded loop.
-    const auto for_partition = [&](std::size_t w, const auto& body) {
-      const std::size_t begin = lanes.size() * w / threads;
-      const std::size_t end = lanes.size() * (w + 1) / threads;
-      for (std::size_t i = begin; i < end; ++i) body(lanes[i]);
+    const std::function<void(std::size_t)> run_a = [&](std::size_t w) {
+      for_partition(w, phase_a);
     };
-    LockstepCrew crew(threads);
-    if (worker_gemm) {
-      // One fused phase per slot: a worker's A, row-block inference and C
-      // touch only its own lanes and group-matrix rows, so the only barrier
-      // needed is the slot boundary itself.
-      std::vector<WorkerPlan> plans = make_plans(threads);
-      const std::function<void(std::size_t)> run_slot = [&](std::size_t w) {
-        for_partition(w, phase_a);
-        infer_partition(plans[w]);
-        for_partition(w, phase_c);
-      };
-      while (active_count.load(std::memory_order_relaxed) > 0) {
-        crew.run(run_slot);
-        exchange();
-      }
-    } else {
-      const std::function<void(std::size_t)> run_a = [&](std::size_t w) {
-        for_partition(w, phase_a);
-      };
-      const std::function<void(std::size_t)> run_c = [&](std::size_t w) {
-        for_partition(w, phase_c);
-      };
-      while (active_count.load(std::memory_order_relaxed) > 0) {
-        crew.run(run_a);
-        phase_b();
-        crew.run(run_c);
-        exchange();
-      }
+    const std::function<void(std::size_t)> run_c = [&](std::size_t w) {
+      for_partition(w, phase_c);
+    };
+    while (active_count.load(std::memory_order_relaxed) > 0) {
+      crew.run(run_a);
+      phase_b();
+      crew.run(run_c);
+      exchange();
     }
   }
 

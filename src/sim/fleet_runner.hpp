@@ -22,10 +22,11 @@
 //    mix_seed(base_seed, i); RNG state is never shared between hubs, so any
 //    execution order — per-hub or lockstep, any thread count — replays the
 //    identical per-hub streams.
-//  * Barrier semantics.  Threaded lockstep (lockstep_threads > 1) splits the
-//    lanes into fixed contiguous partitions, one per thread (the calling
-//    thread itself steps the last partition, so N configured threads are
-//    exactly N busy threads).  Where the slot's inference runs is selected
+//  * Barrier semantics.  Lockstep splits the lanes into fixed contiguous
+//    partitions, one per crew thread (the calling thread itself steps the
+//    last partition, so N configured threads are exactly N busy threads and
+//    lockstep_threads = 1 runs on the caller alone through the same
+//    phases).  Where the slot's inference runs is selected
 //    by FleetRunnerConfig::lockstep_gemm:
 //
 //    - LockstepGemm::kCoordinator (the PR 4 path) runs each slot as three

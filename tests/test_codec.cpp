@@ -172,6 +172,28 @@ constexpr Format kShard{"shard", "ECSH", 1, kShardSections};
 constexpr std::array<std::uint32_t, 2> kCheckpointSections = {1, 2};
 constexpr Format kCheckpoint{"DRL checkpoint", "ECDR", 1, kCheckpointSections};
 
+TEST(Codec, ShardSchedulerNamesParseCaseInsensitivelyAndRejectUnknown) {
+  // The scheduler kind is the one shard field decoded by name; a name the
+  // parser rejects must surface as the codec's FormatError.
+  const std::string valid = sim::serialize_shard(fuzz_shard());
+  std::vector<std::string> payloads;
+  for (const std::string_view p : decode(kShard, valid)) payloads.emplace_back(p);
+  const auto renamed = [&](const std::string& name) {
+    const std::string from = std::string("\x03\0\0\0\0\0\0\0", 8) + "tou";
+    const std::string to = std::string("\x03\0\0\0\0\0\0\0", 8) + name;
+    std::string results = payloads[1];
+    for (std::size_t at = results.find(from); at != std::string::npos;
+         at = results.find(from, at + to.size())) {
+      results.replace(at, from.size(), to);
+    }
+    EXPECT_NE(results, payloads[1]);
+    return encode(kShard, {payloads[0], results, payloads[2]});
+  };
+  EXPECT_EQ(sim::parse_shard(renamed("TOU")).results.front().scheduler,
+            sim::SchedulerKind::kTou);
+  EXPECT_THROW((void)sim::parse_shard(renamed("xyz")), FormatError);
+}
+
 struct Target {
   const char* name;
   std::string valid;

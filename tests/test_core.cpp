@@ -268,6 +268,20 @@ TEST(EctHubEnv, ConfigValidation) {
   EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), bad4), std::invalid_argument);
 }
 
+TEST(EctHubEnv, DiscountFractionRejectsNan) {
+  // `--discount nan` parses as a double; the range check must not let it by.
+  HubEnvConfig bad = small_env();
+  bad.discount_fraction = std::nan("");
+  EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), bad), std::invalid_argument);
+}
+
+TEST(EctHubEnv, ThroughRateRejectsNan) {
+  HubEnvConfig bad = small_env();
+  bad.coupling.enabled = true;
+  bad.coupling.through_rate = std::nan("");
+  EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), bad), std::invalid_argument);
+}
+
 // ------------------------------------------------------- determinism (golden)
 
 // Golden values generated from the pinned episode generator (urban hub,
@@ -740,9 +754,9 @@ TEST(Fleet, AverageDailyReward) {
 
 TEST(Fleet, RunHubExperimentSmoke) {
   core::DrlExperimentConfig cfg;
-  cfg.env.episode_days = 2;
-  cfg.ppo.episodes_per_iteration = 1;
-  cfg.train_iterations = 1;
+  cfg.train.env.episode_days = 2;
+  cfg.train.ppo.episodes_per_iteration = 1;
+  cfg.train.iterations = 1;
   cfg.test_episodes = 1;
   const auto result = run_hub_experiment(HubConfig::urban("smoke", 19),
                                          std::vector<bool>(24, false), cfg, "Test");
@@ -750,6 +764,36 @@ TEST(Fleet, RunHubExperimentSmoke) {
   EXPECT_EQ(result.daily_rewards.size(), 2u);
   EXPECT_EQ(result.train_curve.size(), 1u);
   EXPECT_TRUE(std::isfinite(result.avg_daily_reward));
+}
+
+TEST(Fleet, RunHubExperimentIsTheFleetRecipe) {
+  // Table III / Fig. 13 numbers come from the same recipe a fleet sweep
+  // deploys: train_drl_checkpoint on replicas of the hub, then the exported
+  // actor tested on the hub's own stream.
+  core::DrlExperimentConfig cfg;
+  cfg.train.env.episode_days = 2;
+  cfg.train.ppo.episodes_per_iteration = 1;
+  cfg.train.iterations = 2;
+  cfg.train.train_hubs = 2;
+  cfg.test_episodes = 2;
+  const HubConfig hub = HubConfig::urban("recipe", 23);
+  std::vector<bool> discount(24, false);
+  for (std::size_t h = 18; h < 24; ++h) discount[h] = true;
+
+  const auto result = run_hub_experiment(hub, discount, cfg, "Recipe");
+  ASSERT_EQ(result.train_curve.size(), cfg.train.iterations);
+
+  DrlFleetTrainConfig train = cfg.train;
+  train.env.discount_by_hour = discount;
+  policy::DrlPolicy deployed(train_drl_checkpoint(hub, train));
+  EctHubEnv env(hub, train.env);
+  std::vector<std::vector<double>> daily_per_ep;
+  for (std::size_t e = 0; e < cfg.test_episodes; ++e) {
+    (void)run_policy(env, deployed, 1);
+    daily_per_ep.push_back(env.ledger().daily_profit());
+  }
+  EXPECT_EQ(result.avg_daily_reward, average_daily_reward(daily_per_ep));
+  EXPECT_EQ(result.daily_rewards, daily_per_ep.front());
 }
 
 TEST(EctHubEnv, HorizonEndIsTruncatedWithRealObservation) {

@@ -119,9 +119,9 @@ TEST(Integration, PpoImprovesOverItsOwnStart) {
   // Short training on a tiny hub: final iterations should not be worse than
   // the first (PPO stability, the point of the clip).
   core::DrlExperimentConfig cfg;
-  cfg.env.episode_days = 3;
-  cfg.ppo.episodes_per_iteration = 2;
-  cfg.train_iterations = 6;
+  cfg.train.env.episode_days = 3;
+  cfg.train.ppo.episodes_per_iteration = 2;
+  cfg.train.iterations = 6;
   cfg.test_episodes = 2;
   const auto result = core::run_hub_experiment(core::HubConfig::urban("ppo", 780),
                                                std::vector<bool>(24, false), cfg, "PPO");

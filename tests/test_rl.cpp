@@ -11,7 +11,9 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <span>
+#include <string>
 #include <utility>
 
 namespace ecthub::rl {
@@ -193,14 +195,52 @@ TEST(Ppo, RejectsBadConfig) {
   PpoConfig bad2;
   bad2.minibatch_size = 0;
   EXPECT_THROW(PpoTrainer(bad2, small_ac(), nn::Rng(1)), std::invalid_argument);
+  PpoConfig bad3;
+  bad3.update_epochs = 0;
+  EXPECT_THROW(PpoTrainer(bad3, small_ac(), nn::Rng(1)), std::invalid_argument);
 }
+
+// Every real-valued PpoConfig field: NaN must fail the constructor, not slip
+// through a `x < lo || x > hi` check and surface (or not) mid-training.
+struct NanField {
+  const char* name;
+  double* (*field)(PpoConfig&);
+};
+
+// Prints the field name, not the function pointer, so test listings are
+// stable from build to build.
+void PrintTo(const NanField& f, std::ostream* os) { *os << f.name; }
+
+class PpoNanFieldTest : public ::testing::TestWithParam<NanField> {};
+
+TEST_P(PpoNanFieldTest, ConstructorRejectsNan) {
+  PpoConfig cfg;
+  *GetParam().field(cfg) = std::nan("");
+  EXPECT_THROW(PpoTrainer(cfg, small_ac(), nn::Rng(1)), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PpoConfigFields, PpoNanFieldTest,
+    ::testing::Values(
+        NanField{"gamma", [](PpoConfig& c) { return &c.gamma; }},
+        NanField{"gae_lambda", [](PpoConfig& c) { return &c.gae_lambda; }},
+        NanField{"clip_epsilon", [](PpoConfig& c) { return &c.clip_epsilon; }},
+        NanField{"value_coeff", [](PpoConfig& c) { return &c.value_coeff; }},
+        NanField{"entropy_coeff", [](PpoConfig& c) { return &c.entropy_coeff; }},
+        NanField{"adam_lr", [](PpoConfig& c) { return &c.adam.lr; }},
+        NanField{"adam_beta1", [](PpoConfig& c) { return &c.adam.beta1; }},
+        NanField{"adam_beta2", [](PpoConfig& c) { return &c.adam.beta2; }},
+        NanField{"adam_eps", [](PpoConfig& c) { return &c.adam.eps; }},
+        NanField{"adam_weight_decay", [](PpoConfig& c) { return &c.adam.weight_decay; }},
+        NanField{"adam_grad_clip", [](PpoConfig& c) { return &c.adam.grad_clip; }}),
+    [](const ::testing::TestParamInfo<NanField>& p) { return std::string(p.param.name); });
 
 TEST(Ppo, UpdateReportsFiniteStats) {
   PpoConfig cfg;
   cfg.update_epochs = 2;
   PpoTrainer trainer(cfg, small_ac(), nn::Rng(8));
   ToyEnv env;
-  const auto history = trainer.train(env, 2);
+  const auto history = trainer.train_fleet({&env}, 2);
   ASSERT_EQ(history.size(), 2u);
   for (const auto& h : history) {
     EXPECT_TRUE(std::isfinite(h.update.policy_loss));
@@ -218,7 +258,7 @@ TEST(Ppo, LearnsToyBandit) {
   cfg.entropy_coeff = 0.005;
   PpoTrainer trainer(cfg, small_ac(), nn::Rng(9));
   ToyEnv env;
-  trainer.train(env, 25);
+  trainer.train_fleet({&env}, 25);
   // Greedy policy should now collect near-maximal reward (8 per episode).
   const double reward = trainer.evaluate(env, 5);
   EXPECT_GT(reward, 7.0);
@@ -247,7 +287,7 @@ TEST_P(ClipSweepTest, MeanRatioStaysNearOne) {
   cfg.update_epochs = 3;
   PpoTrainer trainer(cfg, small_ac(), nn::Rng(21));
   ToyEnv env;
-  const auto history = trainer.train(env, 2);
+  const auto history = trainer.train_fleet({&env}, 2);
   for (const auto& h : history) {
     EXPECT_GT(h.update.mean_ratio, 1.0 - 3.0 * GetParam());
     EXPECT_LT(h.update.mean_ratio, 1.0 + 3.0 * GetParam());
@@ -290,7 +330,7 @@ TEST(Ppo, RatioNearOneOnFirstUpdate) {
   cfg.update_epochs = 1;
   PpoTrainer trainer(cfg, small_ac(), nn::Rng(12));
   ToyEnv env;
-  const auto history = trainer.train(env, 1);
+  const auto history = trainer.train_fleet({&env}, 1);
   EXPECT_NEAR(history[0].update.mean_ratio, 1.0, 0.3);
 }
 
