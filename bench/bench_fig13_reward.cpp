@@ -13,14 +13,14 @@ int main(int argc, char** argv) {
   std::cout << "=== Fig. 13: total reward of four example hubs ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags, 0.3);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
+  const core::DrlExperimentConfig drl_cfg = benchx::make_drl_config(flags);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.check_unknown();  // before the pricing stage: a typo fails in seconds
 
   std::vector<core::HubConfig> fleet = core::default_fleet();
   benchx::align_fleet_with_stations(fleet, setup);
   const benchx::MethodSchedules schedules =
       benchx::train_pricing_stage(setup, fleet.size(), seed);
-  const core::DrlExperimentConfig drl_cfg = benchx::make_drl_config(flags);
-  const std::string csv_dir = flags.get_string("csv", "");
-  flags.check_unknown();
 
   for (std::size_t h = 0; h < 4; ++h) {
     std::cout << "\n--- " << fleet[h].name << " ---\n";
@@ -38,21 +38,16 @@ int main(int argc, char** argv) {
       }
     }
     table.print(std::cout);
-    double mean_ours = 0, mean_best_baseline = 0;
+    std::map<std::string, double> means;
     for (const auto& method : benchx::method_order()) {
       const auto& r = results.at(method);
       double mean = 0;
       for (double x : r.daily_rewards) mean += x;
       mean /= static_cast<double>(r.daily_rewards.size());
-      if (method == "Ours") {
-        mean_ours = mean;
-      } else {
-        mean_best_baseline = std::max(mean_best_baseline, mean);
-      }
+      means[method] = mean;
       std::cout << method << " mean daily reward: " << mean << "\n";
     }
-    std::cout << (mean_ours >= mean_best_baseline ? "[shape OK] " : "[shape MISS] ")
-              << "Ours vs best baseline: " << mean_ours << " vs " << mean_best_baseline << "\n";
+    benchx::print_shape_check(std::cout, fleet[h].name + " mean daily reward", means);
 
     if (!csv_dir.empty()) {
       std::vector<double> day_axis(days);

@@ -11,23 +11,24 @@
 // (one matrix-matrix forward across all hubs per slot), both end-to-end and
 // as a pure-inference microbenchmark, again cross-checking bit-identity.
 //
-// Part 3 sweeps --threads-list over run_lockstep's worker crew
-// (lockstep_threads): env stepping shards across the barrier-synchronized
-// workers while inference stays one GEMM per slot — thread x batch
+// Part 3 sweeps --threads-list over run_lockstep's block count
+// (lockstep_threads): the fleet is cut into one contiguous block per
+// thread, and on this uncoupled fleet each block runs to its last slot with
+// no slot barrier, batching its own lanes' inference — thread x batch
 // parallelism on one fleet, still bit-identical to the per-hub reference.
 // The sweep runs the rule-policy fleet, where stepping is the entire slot
 // cost.  Wall-clock scaling needs real cores — the table prints
 // hardware_concurrency so a flat curve on a 1-core box reads as the
 // environment, not a regression.
 //
-// Part 4 is the GEMM-placement sweep on the ECT-DRL fleet: at each worker
-// count, the PR 4 coordinator path (one decide_batch on the coordinator
-// while the crew idles at the barrier) races the worker path (each worker
-// runs decide_rows on its lane partition's row-block of the shared
-// observation matrix).  The coordinator GEMM is the Amdahl bottleneck the
-// worker placement removes; with >= 4 real cores the worker column should
-// pull ahead, and every cell is cross-checked bit-identical to the per-hub
-// reference.
+// Part 4 is the GEMM-placement sweep on the ECT-DRL fleet: at each thread
+// count, the coordinator path (slot-synchronous: every block's inference
+// runs on the coordinator between two crew phases while the crew idles at
+// the barrier) races the worker path (each block's thread runs its own
+// inference, barrier-free).  The coordinator phase is the Amdahl bottleneck
+// the worker placement removes; with >= 4 real cores the worker column
+// should pull ahead, and every cell is cross-checked bit-identical to the
+// per-hub reference.
 //
 // Part 5 prices the metro coupling layer: the same spatially generated
 // fleet runs uncoupled and coupled (per-slot CouplingBus exchange plus the
@@ -285,11 +286,10 @@ int main(int argc, char** argv) {
     micro.print(std::cout);
   }
 
-  // --- Part 3: threaded lockstep — env stepping sharded across the crew ---
-  // The heuristic fleet from part 1 in lockstep at each worker count: env
-  // stepping (the entire slot cost for rule policies) shards across the
-  // barrier-synchronized workers.  Every row must reproduce the per-hub
-  // reference bit for bit.
+  // --- Part 3: threaded lockstep — one barrier-free block per thread -----
+  // The heuristic fleet from part 1 in lockstep at each thread count: env
+  // stepping (the entire slot cost for rule policies) splits into one block
+  // per thread.  Every row must reproduce the per-hub reference bit for bit.
   std::cout << "\n=== Threaded lockstep scaling: " << hubs << " hubs, "
             << to_string(jobs.front().scheduler) << " fleet, "
             << std::thread::hardware_concurrency() << " hardware core(s) ===\n";
@@ -318,10 +318,10 @@ int main(int argc, char** argv) {
   }
   scaling.print(std::cout);
 
-  // --- Part 4: GEMM placement — coordinator vs worker row-block GEMMs -----
+  // --- Part 4: GEMM placement — coordinator vs per-block worker GEMMs -----
   // The ECT-DRL fleet again, where inference is a real share of the slot:
-  // each worker count races the serial coordinator decide_batch against
-  // per-worker decide_rows row-blocks of the same observation matrices.
+  // each thread count races every block's decide_batch on the coordinator
+  // against each block's own thread running it.
   std::cout << "\n=== Lockstep GEMM placement: " << hubs << " hubs, drl fleet, "
             << std::thread::hardware_concurrency() << " hardware core(s) ===\n";
   std::vector<sim::HubRunResult> drl_reference;

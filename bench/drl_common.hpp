@@ -10,6 +10,7 @@
 #include "core/hub_config.hpp"
 
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -101,6 +102,26 @@ inline void align_fleet_with_stations(std::vector<core::HubConfig>& fleet,
 inline const std::vector<std::string>& method_order() {
   static const std::vector<std::string> order = {"Ours", "OR", "IPS", "DR"};
   return order;
+}
+
+/// The paper's claim on one hub (or on the fleet mean) as a computed
+/// predicate: Ours scores at least as high as the best baseline.  `scores`
+/// maps every method_order() name to its score.  Prints "[shape OK]" or
+/// "[shape MISS]" with both scores and returns whether the claim holds.
+inline bool print_shape_check(std::ostream& os, const std::string& label,
+                              const std::map<std::string, double>& scores) {
+  double best = -std::numeric_limits<double>::infinity();
+  std::string best_method;
+  for (const auto& method : method_order()) {
+    if (method != "Ours" && scores.at(method) > best) {
+      best = scores.at(method);
+      best_method = method;
+    }
+  }
+  const bool ok = scores.at("Ours") >= best;
+  os << (ok ? "[shape OK] " : "[shape MISS] ") << label << ": Ours " << scores.at("Ours")
+     << " vs best baseline " << best_method << " " << best << "\n";
+  return ok;
 }
 
 }  // namespace ecthub::benchx

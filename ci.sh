@@ -31,10 +31,12 @@ UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-asan" \
   --output-on-failure --no-tests=error -j "${JOBS}"
 
 # Job 4 rebuilds under ThreadSanitizer and runs the sim-engine suite (the
-# threaded per-hub runner, the barrier-synchronized lockstep crew, the
-# four-way run/lockstep×1/coordinator-GEMM/worker-GEMM identity harness and
-# the coupled-metro identity harness — LockstepDeterminism.* and
-# CouplingBus.* match the filter below), the vectorized rollout collector's
+# free-running block driver behind run() and uncoupled lockstep, the
+# barrier-synchronized slot driver, the four-way
+# run/lockstep×1/coordinator-GEMM/worker-GEMM identity harness,
+# the coupled-metro identity harness and the independent per-hub reference
+# sweeps — LockstepDeterminism.*, FleetOracle.* and CouplingBus.* match the
+# filter below), the vectorized rollout collector's
 # bit-identity suite (VecCollector*, whose crew shards env stepping and
 # row-block act_rows GEMMs across threads), the process-sharding suite
 # (Shard*, whose driver forks worker processes that spawn their own thread
@@ -51,7 +53,7 @@ cmake -B "${PREFIX}-tsan" -S . -DECTHUB_SANITIZE=thread -DECTHUB_BUILD_BENCH=OFF
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
-  -R 'Scenario|MixSeed|PolicyFactory|FleetJobs|FleetRunner|Lockstep|CouplingBus|AggregateReport|VecCollector|DrlZoo|Shard|ExactSum|Serve|city_sweep_drl|city_sweep_metro|city_sweep_shard|decision_server' \
+  -R 'Scenario|MixSeed|PolicyFactory|FleetJobs|FleetRunner|FleetOracle|Lockstep|CouplingBus|AggregateReport|VecCollector|DrlZoo|Shard|ExactSum|Serve|city_sweep_drl|city_sweep_metro|city_sweep_shard|decision_server' \
   --output-on-failure --no-tests=error -j "${JOBS}"
 
 # Job 5 is the static-analysis gate:
@@ -62,9 +64,8 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #  (b) header self-containment — every src/**/*.hpp compiled standalone
 #      (twice, for guard idempotency) via the generated-TU object target;
 #  (c) GCC -fanalyzer compile-only over the leaf modules (common, nn,
-#      battery, weather), the policy, serve, rl and core modules, and every
-#      sim source except sim/fleet_runner.cpp (its make_policy finding waits
-#      on the triage in ROADMAP).  GCC 12's analyzer does not
+#      battery, weather) and the policy, serve, rl, core and sim modules.
+#      GCC 12's analyzer does not
 #      model std::allocator, so three libstdc++-internal false-positive
 #      classes are suppressed with justification (see tools/lint_allowlist.txt header and README "Static
 #      analysis"); every other -Wanalyzer-* check is a hard error.
@@ -75,14 +76,13 @@ cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
 
 for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp \
          src/policy/*.cpp src/serve/*.cpp src/rl/*.cpp src/core/*.cpp src/sim/*.cpp; do
-  case "$f" in src/sim/fleet_runner.cpp) continue ;; esac
   g++ -std=c++20 -Isrc -O1 -c "$f" -o /dev/null \
     -fanalyzer -Werror \
     -Wno-analyzer-use-of-uninitialized-value \
     -Wno-analyzer-null-dereference \
     -Wno-analyzer-possible-null-dereference
 done
-echo "    analyzer pass clean over common/nn/battery/weather/policy/serve/rl/core + sim (minus fleet_runner)"
+echo "    analyzer pass clean over common/nn/battery/weather/policy/serve/rl/core/sim"
 
 # Job 6 is the benchmark's smoke test: it builds perfbench/ against this
 # checkout in its own tree and runs every benchmark workload at a tiny shape,

@@ -1,17 +1,19 @@
-// CouplingBus: the slot-barrier demand router of a coupled fleet.
+// CouplingBus: the slot-boundary demand router of a coupled fleet.
 //
-// During a lockstep slot each lane steps with the imports its neighbors
-// routed to it at the previous slot boundary and deposits its own exported
-// overflow; at the barrier the coordinator — alone, in fixed lane order —
-// routes every deposit to the depositor's road-graph neighbors (equal
-// split).  Exports gathered at slot t are therefore delivered at slot t+1,
-// and because the exchange is serial and order-fixed the routed totals are
-// bit-identical at any lockstep_threads and under either LockstepGemm mode.
+// A coupled fleet always runs on FleetRunner's slot-synchronous driver.
+// During a slot each lane steps with the imports its neighbors routed to it
+// at the previous slot boundary and deposits its own exported overflow;
+// after the slot's last crew phase the coordinator — alone, in fixed lane
+// order — routes every deposit to the depositor's road-graph neighbors
+// (equal split).  Exports gathered at slot t are therefore delivered at
+// slot t+1, and because the exchange is serial and order-fixed the routed
+// totals are bit-identical at any lockstep_threads and under either
+// LockstepGemm mode.
 //
 // Thread-safety contract: deposit/take/drop_pending touch only the given
-// lane's slots and each lane is owned by exactly one worker per phase, so
-// workers never race; exchange() must run with no worker phase in flight
-// (the slot barrier).
+// lane's slots and each lane belongs to exactly one block, run by one
+// thread per phase, so workers never race; exchange() must run with no
+// crew phase in flight (the slot boundary).
 #pragma once
 
 #include <cstddef>
@@ -28,11 +30,11 @@ class CouplingBus {
   [[nodiscard]] std::size_t lanes() const noexcept { return exported_.size(); }
 
   /// Records `export_kw` as lane's outgoing overflow this slot (worker-side,
-  /// phase C).
+  /// after the lane steps).
   void deposit(std::size_t lane, double export_kw) { exported_[lane] = export_kw; }
 
   /// Consumes and returns the demand routed to `lane` at the previous slot
-  /// boundary (worker-side, phase C, before stepping).
+  /// boundary (worker-side, before the lane steps).
   [[nodiscard]] double take(std::size_t lane) {
     const double kw = pending_[lane];
     pending_[lane] = 0.0;
@@ -40,11 +42,11 @@ class CouplingBus {
   }
 
   /// Discards demand routed to `lane` across an episode boundary (worker-
-  /// side, phase A, on episode turnover): a fresh episode starts clean.
+  /// side, on episode turnover): a fresh episode starts clean.
   void drop_pending(std::size_t lane) { pending_[lane] = 0.0; }
 
   /// Routes every deposit to the depositor's neighbors, equal split, in
-  /// fixed lane order.  Coordinator-only, at the slot barrier.
+  /// fixed lane order.  Coordinator-only, at the slot boundary.
   void exchange();
 
  private:

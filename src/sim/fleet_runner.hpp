@@ -1,64 +1,49 @@
-// FleetRunner: N independent hub episodes, per-hub-threaded or
-// lockstep-batched.
+// FleetRunner: N independent hub episodes, per-hub or lockstep-batched.
 //
 // Each job (hub config + episode shape + scheduler kind) is fully
-// self-contained: the worker constructs its own EctHubEnv and Policy, and
-// every stochastic stream is seeded as seed = mix_seed(base_seed, hub_id) —
-// RNG state is never shared between hubs.  Results are written into a
-// per-job slot, so the output is bit-identical regardless of thread count or
-// scheduling order: running 32 hubs on 1 thread or 8 threads produces the
-// same ledgers to the last bit.
+// self-contained: every stochastic stream of hub i is seeded from
+// mix_seed(base_seed, hub_id) and RNG state is never shared between hubs.
+// Results are written into a per-job slot, so the output is bit-identical
+// regardless of thread count or scheduling order: running 32 hubs on 1
+// thread or 8 threads produces the same ledgers to the last bit.
 //
-// run() executes one hub per worker end to end.  run_lockstep() advances
-// every hub slot-by-slot instead: it gathers the per-hub observations into
-// one (hubs x state_dim) matrix, makes a single batched Policy call per
-// fleet slot, and scatters the actions back — so a neural policy (ECT-DRL)
-// replaces N matrix-vector products with one matrix-matrix forward pass.
+// One engine runs both entry points.  Its unit is a *block*: the lanes
+// [begin, end) of the fleet, each one hub's env, with the block's own policy
+// instances.  Stateless kinds (TOU, no-battery, ECT-DRL) share one instance
+// per block and a block-local (lanes x state_dim) observation matrix fed to
+// one decide_batch per slot — so a neural policy replaces N matrix-vector
+// products with one matrix-matrix forward pass; stateful kinds keep one
+// instance per lane.  A block's slot is three phases: begin_slot (episode
+// turnover, stateful decisions), infer (the batched calls), step.  Two
+// drivers run blocks:
 //
-// Determinism contract (the foundation every sharding/batching layer builds
-// on — tests/test_sim.cpp pins all of it):
+//  * Free-running — run(), and run_lockstep() on an uncoupled fleet under
+//    LockstepGemm::kWorker.  Threads claim blocks by atomic index and run
+//    each to its last slot with no slot barrier.  run() uses one hub per
+//    block (work stealing; only in-flight hubs hold memory); run_lockstep()
+//    one contiguous block per thread (the GEMM batch).
+//  * Slot-synchronous — coupled fleets, or LockstepGemm::kCoordinator.  One
+//    block per BarrierCrew member, built up front; each slot is one crew
+//    phase, then the coordinator alone runs the CouplingBus exchange.
+//    kCoordinator splits the slot: crew begin_slot, the coordinator calling
+//    every block's infer, crew step.
+//
+// Determinism contract (tests/test_sim.cpp pins all of it):
 //
 //  * Seed mixing.  Every stochastic stream of hub i derives from
-//    mix_seed(base_seed, i); RNG state is never shared between hubs, so any
-//    execution order — per-hub or lockstep, any thread count — replays the
-//    identical per-hub streams.
-//  * Barrier semantics.  Lockstep splits the lanes into fixed contiguous
-//    partitions, one per crew thread (the calling thread itself steps the
-//    last partition, so N configured threads are exactly N busy threads and
-//    lockstep_threads = 1 runs on the caller alone through the same
-//    phases).  Where the slot's inference runs is selected
-//    by FleetRunnerConfig::lockstep_gemm:
+//    mix_seed(base_seed, i), so any execution order replays the identical
+//    per-hub streams.
+//  * Row independence.  Row i of a batched decision never reads row j, so
+//    a lane's actions do not depend on which block it shares; a finished
+//    lane's stale row disturbs no live one.
+//  * Phase ownership.  A block is touched by one thread per phase, and the
+//    exchange never runs concurrently with a crew phase, so coupled routed
+//    totals are independent of the thread count and the GEMM placement.
+//  * Errors.  A worker's exception is caught, the other workers drain, and
+//    the first error is rethrown from the entry point — never a deadlock.
 //
-//    - LockstepGemm::kCoordinator (the PR 4 path) runs each slot as three
-//      phases separated by barriers: (A) workers reset lanes whose episode
-//      turned over and run per-hub stateful policies, (B) the coordinator
-//      fires one decide_batch per shared stateless policy group, (C) workers
-//      step their lanes, each writing the next observation into its fixed
-//      row of the group's observation matrix.  A lane is touched by exactly
-//      one thread per phase and the barriers order the phases, so the
-//      per-lane operation sequence — and therefore every result bit — is
-//      independent of lockstep_threads.
-//
-//    - LockstepGemm::kWorker (the default) removes the serial phase-B
-//      bottleneck: lanes are assigned group-matrix rows in lane order, so a
-//      worker's contiguous lane partition owns a contiguous row block of
-//      every group's observation matrix, and each worker calls the shared
-//      policy's const decide_rows() on exactly that block with its own
-//      workspace.  Phase B then reads and writes only worker-owned rows —
-//      the same data A wrote and C will consume on the same worker — so the
-//      whole slot collapses into ONE crew phase (A, row-block GEMMs +
-//      scatter, C in sequence per worker) with a single barrier pair,
-//      halving barrier crossings while inference scales with the crew.
-//
-//    Either mode computes each observation row independently (row i of a
-//    GEMM never reads row j), which is what lets finished lanes keep a
-//    stale row without disturbing the live ones — and what makes the
-//    row-block sharding bit-identical to the whole-matrix call.
-//  * Worker exceptions are caught at the phase boundary, the crew drains,
-//    and the first error is rethrown from run_lockstep — never a deadlock.
-//
-// run(), run_lockstep(1 thread) and run_lockstep(N threads) are all
-// bit-identical on the same jobs and config, under either LockstepGemm mode.
+// run(), run_lockstep() at any lockstep_threads and under either
+// LockstepGemm mode are all bit-identical on the same jobs and config.
 #pragma once
 
 #include "common/rng.hpp"
@@ -98,11 +83,11 @@ enum class SchedulerKind { kNoBattery, kTou, kGreedyPrice, kForecast, kRandom, k
 [[nodiscard]] SchedulerKind scheduler_kind_from_string(const std::string& name);
 [[nodiscard]] std::string to_string(SchedulerKind kind);
 
-/// Where run_lockstep's per-slot batched inference executes: one coordinator
-/// decide_batch per shared policy group (the PR 4 path, kept for comparison
-/// benchmarks), or per-worker decide_rows row-blocks of the same matrices
-/// (the default — inference scales with the worker crew).  Bit-identical
-/// either way.
+/// Where run_lockstep's per-slot batched inference executes: on the
+/// coordinator between two crew phases of every slot (kept for comparison
+/// benchmarks), or on each block's own thread inside its slot (the default —
+/// inference scales with the threads, and uncoupled fleets run with no slot
+/// barrier).  Bit-identical either way.
 enum class LockstepGemm { kCoordinator, kWorker };
 
 /// All modes in declaration order — the sweep set of the GEMM-placement bench.
@@ -222,16 +207,17 @@ struct FleetRunnerConfig {
   /// every hub keeps the mix_seed(base_seed, global_id) stream — and the
   /// exact per-hub result bits — it would have had in the unsharded run.
   std::size_t hub_id_offset = 0;
-  /// Worker threads for run(); 0 means std::thread::hardware_concurrency().
+  /// Threads for run(), which runs one hub per block; 0 means
+  /// std::thread::hardware_concurrency().  The caller is one of them.
   std::size_t threads = 0;
-  /// Worker threads for run_lockstep()'s env-stepping phases; 0 means
-  /// std::thread::hardware_concurrency(), 1 (the default) keeps lockstep
-  /// single-threaded.  Any value produces bit-identical results — big
-  /// fleets get thread parallelism (env stepping, and with
-  /// LockstepGemm::kWorker the batched inference too) on top of batch
-  /// parallelism.
+  /// Threads for run_lockstep(), which cuts the fleet into this many
+  /// contiguous blocks, one per thread; 0 means
+  /// std::thread::hardware_concurrency(), 1 (the default) runs one block
+  /// on the caller alone.  Any value produces bit-identical results — big
+  /// fleets get thread parallelism on top of batch parallelism.
   std::size_t lockstep_threads = 1;
-  /// GEMM placement for run_lockstep's batched inference (see LockstepGemm).
+  /// Where run_lockstep's batched inference runs (see LockstepGemm); also
+  /// picks the driver of an uncoupled fleet (see the file comment).
   LockstepGemm lockstep_gemm = LockstepGemm::kWorker;
   std::size_t episodes_per_hub = 1;
 };
@@ -240,39 +226,29 @@ class FleetRunner {
  public:
   explicit FleetRunner(FleetRunnerConfig cfg);
 
-  /// Runs every job, one hub per worker; results[i] corresponds to jobs[i]
-  /// (hub_id == cfg.hub_id_offset + i).  The first exception thrown by any worker is rethrown
-  /// after all workers have been joined.  Throws std::invalid_argument on a
+  /// Runs every job, one hub per block on the free-running driver;
+  /// results[i] corresponds to jobs[i] (hub_id == cfg.hub_id_offset + i).
+  /// The first exception thrown by any worker is rethrown after all workers
+  /// have been joined.  Throws std::invalid_argument on a
   /// coupled job set (see FleetJob::coupled) — only run_lockstep advances
   /// the fleet slot-synchronously, which the exchange requires.
   [[nodiscard]] std::vector<HubRunResult> run(const std::vector<FleetJob>& jobs) const;
 
-  /// Lockstep execution: advances all hubs slot-by-slot and batches policy
-  /// inference.  Stateless policies (TOU, no-battery, ECT-DRL) of the same
-  /// kind and checkpoint share one instance fed a (hubs x state_dim)
-  /// observation matrix per fleet slot; stateful policies keep an instance
-  /// per hub.  With lockstep_threads > 1 the env-stepping phases — and,
-  /// under LockstepGemm::kWorker, the batched inference itself, as per-lane-
-  /// partition row-blocks — are sharded across a barrier-synchronized worker
-  /// crew (see the file comment for the phase/barrier semantics).
+  /// Lockstep execution: cuts the fleet into lockstep_threads contiguous
+  /// blocks that advance their hubs slot by slot and batch policy inference
+  /// (see the file comment for the blocks and the two drivers).
   /// Bit-identical to run() on the same jobs and config, at any thread
   /// count and under either GEMM placement.
   ///
-  /// Coupled fleets (FleetJob::coupled) add an exchange phase at the slot
-  /// barrier: each lane steps with the imports routed to it at the previous
-  /// barrier and deposits its exported overflow, then the coordinator —
-  /// alone, in fixed lane order — routes every deposit over the road-graph
-  /// neighbor lists (CouplingBus).  The exchange never runs concurrently
-  /// with a worker phase, so coupled results stay bit-identical at any
-  /// lockstep_threads and under either LockstepGemm mode; fleets with no
-  /// coupled job take exactly the pre-coupling path.
+  /// Coupled fleets (FleetJob::coupled) run slot-synchronously: each lane
+  /// steps with the imports routed to it at the previous slot boundary and
+  /// deposits its exported overflow, then the coordinator — alone, in fixed
+  /// lane order — routes every deposit over the road-graph neighbor lists
+  /// (CouplingBus).  The exchange never runs concurrently with a worker
+  /// phase, so coupled results stay bit-identical at any lockstep_threads
+  /// and under either LockstepGemm mode.
   [[nodiscard]] std::vector<HubRunResult> run_lockstep(
       const std::vector<FleetJob>& jobs) const;
-
-  /// Executes one job synchronously — the exact function each run() worker
-  /// runs.
-  [[nodiscard]] static HubRunResult run_job(const FleetJob& job, std::size_t hub_id,
-                                            const FleetRunnerConfig& cfg);
 
   [[nodiscard]] const FleetRunnerConfig& config() const noexcept { return cfg_; }
 

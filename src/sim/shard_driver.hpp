@@ -17,8 +17,8 @@
 // and config, for any shard count.
 //
 // Fork discipline: run_forked forks while the process is single-threaded —
-// the driver spawns no threads itself, and each child builds its own
-// FleetRunner thread pool only after the fork — so the fork is safe under
+// the driver spawns no threads itself, and each child's FleetRunner spawns
+// its worker threads only after the fork — so the fork is safe under
 // the threaded runtime and the TSan CI job.  Children write their shard
 // file and _exit without touching stdout; a child that exits non-zero or
 // dies on a signal is surfaced as a ShardDriverError naming the shard.

@@ -7,7 +7,8 @@
 // place through observe_into.  This binary replaces the global operator
 // new/delete pair with a counting hook so any allocation that sneaks back
 // onto the step or reset path fails a test here instead of silently eroding
-// fleet throughput.
+// fleet throughput.  The hook also keeps live and peak-live byte counts
+// (malloc_usable_size), which pin run()'s per-hub memory footprint.
 #include "common/rng.hpp"
 #include "common/time_grid.hpp"
 #include "core/hub_config.hpp"
@@ -30,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <malloc.h>
 #include <memory>
 #include <new>
 #include <span>
@@ -37,42 +39,70 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_peak_live_bytes{0};
+
+// Books a fresh block into the counters: one allocation, its usable size
+// live, and the high-water mark raised to match.
+void* track(void* p) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t bytes = malloc_usable_size(p);
+  const std::size_t live = g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  std::size_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak_live_bytes.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void release(void* p) noexcept {
+  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 // Counting operator-new hook: every heap allocation in this binary bumps the
-// counter.  The sized/array/aligned forms are all provided so the
-// replacement set is complete and no allocation (including a future
-// over-aligned SIMD buffer) escapes the counter through a default form.
+// counter and its usable size is held live until the matching delete.  The
+// sized/array/aligned forms are all provided so the replacement set is
+// complete and no allocation (including a future over-aligned SIMD buffer)
+// escapes the counters through a default form.
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = std::malloc(size)) return track(p);
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   const std::size_t alignment =
       std::max(static_cast<std::size_t>(align), sizeof(void*));
   void* p = nullptr;
   if (posix_memalign(&p, alignment, size) != 0) throw std::bad_alloc();
-  return p;
+  return track(p);
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { release(p); }
 
 namespace ecthub {
 namespace {
 
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+// Peak live heap bytes while `body` runs, above what was live when it began.
+template <typename Body>
+std::size_t peak_live_bytes_during(const Body& body) {
+  const std::size_t base = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(base, std::memory_order_relaxed);
+  body();
+  return g_peak_live_bytes.load(std::memory_order_relaxed) - base;
+}
 
 TEST(AllocationAudit, HookObservesVectorAllocations) {
   // Sanity-check the hook itself: a vector allocation must be visible,
@@ -283,6 +313,31 @@ TEST(AllocationAudit, CoupledMetroSlotLoopAllocationFreeAfterWarmup) {
   const std::uint64_t long_run = run_with_episodes(6);
   EXPECT_EQ(long_run, short_run)
       << "extra coupled episodes allocated: the exchange path is not allocation-free";
+}
+
+TEST(AllocationAudit, RunPeakLiveHeapDoesNotGrowWithFleetSize) {
+  // run() builds each hub's env and policy only while that hub runs, so on
+  // one thread its peak live heap is one hub's working set plus the result
+  // vector — it may not scale with the fleet the way building every lane up
+  // front would (an eager 32-hub fleet holds 32 episode buffers at once).
+  const sim::ScenarioRegistry registry = sim::ScenarioRegistry::with_builtins();
+  const auto peak_for = [&](std::size_t hubs) {
+    const std::vector<sim::FleetJob> jobs = sim::make_fleet_jobs(
+        registry, registry.keys(), hubs, 14, sim::SchedulerKind::kGreedyPrice);
+    sim::FleetRunnerConfig runner_cfg;
+    runner_cfg.threads = 1;
+    return peak_live_bytes_during([&] {
+      const auto results = sim::FleetRunner(runner_cfg).run(jobs);
+      EXPECT_EQ(results.size(), hubs);
+    });
+  };
+  (void)peak_for(4);  // settle any process-wide one-time buffers
+  const std::size_t small_fleet = peak_for(4);
+  const std::size_t large_fleet = peak_for(32);
+  ASSERT_GT(small_fleet, 0u) << "the live-byte hook saw no allocation";
+  EXPECT_LT(large_fleet, small_fleet + small_fleet / 2)
+      << "run()'s peak live heap grew from " << small_fleet << " B (4 hubs) to "
+      << large_fleet << " B (32 hubs): hubs are held beyond their own episode";
 }
 
 TEST(AllocationAudit, PricingAndTrafficRegenerateAllocationFreeAfterWarmup) {

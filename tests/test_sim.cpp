@@ -3,6 +3,8 @@
 // factory, the parallel fleet runner and its lockstep-batched twin (the
 // bit-identity contract every future sharding/batching PR depends on), and
 // the aggregate report arithmetic.
+#include "common/time_grid.hpp"
+#include "core/hub_env.hpp"
 #include "policy/drl_policy.hpp"
 #include "sim/coupling.hpp"
 #include "sim/drl_zoo.hpp"
@@ -16,6 +18,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -424,12 +427,9 @@ std::vector<HubRunResult> run_lockstep_fleet(const std::vector<FleetJob>& jobs,
   return FleetRunner(cfg).run_lockstep(jobs);
 }
 
-TEST(LockstepDeterminism, FourWayBitIdentity64HubsAllScenariosAllSchedulers) {
-  // The determinism harness of the threaded engine: a 64-hub fleet covering
-  // every built-in scenario and every scheduler kind, executed four ways —
-  // per-hub run(), single-threaded lockstep, 8-thread lockstep with the
-  // coordinator GEMM and 8-thread lockstep with worker row-block GEMMs —
-  // must produce bit-identical per-hub episode checksums across all paths.
+// A 64-hub fleet covering every built-in scenario and every scheduler kind,
+// 2-day episodes.
+std::vector<FleetJob> make_all_kind_jobs() {
   const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
   const auto ckpt = tiny_checkpoint();
   const std::vector<std::string>& keys = reg.keys();
@@ -448,10 +448,20 @@ TEST(LockstepDeterminism, FourWayBitIdentity64HubsAllScenariosAllSchedulers) {
     if (kind == SchedulerKind::kDrl) job.checkpoint = ckpt;
     jobs.push_back(std::move(job));
   }
+  return jobs;
+}
+
+TEST(LockstepDeterminism, FourWayBitIdentity64HubsAllScenariosAllSchedulers) {
+  // The determinism harness of the threaded engine: a 64-hub fleet covering
+  // every built-in scenario and every scheduler kind, executed four ways —
+  // per-hub run(), single-threaded lockstep, 8-thread lockstep with the
+  // coordinator GEMM and 8-thread lockstep with worker row-block GEMMs —
+  // must produce bit-identical per-hub episode checksums across all paths.
+  const std::vector<FleetJob> jobs = make_all_kind_jobs();
   // Every scheduler kind must actually be in the fleet.
   std::set<SchedulerKind> covered;
   for (const FleetJob& job : jobs) covered.insert(job.scheduler);
-  ASSERT_EQ(covered.size(), kinds.size());
+  ASSERT_EQ(covered.size(), all_scheduler_kinds().size());
 
   FleetRunnerConfig cfg;
   cfg.threads = 8;
@@ -557,6 +567,159 @@ TEST(LockstepDeterminism, CoupledMetroFleetBitIdenticalAcrossThreadsAndGemm) {
   EXPECT_GT(through, 0.0);
   EXPECT_GT(exported, 0.0);
   EXPECT_GT(served, 0.0);
+}
+
+// ------------------------------------------------------------ oracle
+
+// An independent reference for both entry points, built only from the
+// public API: one EctHubEnv (hub seed mix_seed(base, hub_id_offset + i))
+// and one make_policy instance per hub, deciding one observation at a time
+// through decide() — no blocks, no batching, no threads.  Hubs advance slot
+// by slot, each turning over its own episodes, so a coupled fleet can route
+// its overflow over a CouplingBus after every slot as the slot-synchronous
+// contract states.
+std::vector<HubRunResult> oracle_run(const std::vector<FleetJob>& jobs,
+                                     const FleetRunnerConfig& cfg) {
+  // The runner's policy-stream tag (fleet_runner.cpp): a RandomPolicy must
+  // draw from a stream independent of its hub's.
+  constexpr std::uint64_t kPolicySeedTag = 0xec7ec7ec7ec7ec7eULL;
+  struct Hub {
+    std::unique_ptr<core::EctHubEnv> env;
+    std::unique_ptr<policy::Policy> pol;
+    std::vector<double> state;
+    double dt_hours = 1.0;
+    std::size_t episodes_done = 0;
+    bool needs_reset = true;
+    SocDigest soc;
+  };
+  bool coupled = false;
+  std::vector<std::vector<std::size_t>> neighbors;
+  std::vector<Hub> hubs(jobs.size());
+  std::vector<HubRunResult> results(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const FleetJob& job = jobs[i];
+    HubRunResult& r = results[i];
+    r.hub_id = cfg.hub_id_offset + i;
+    r.hub_name = job.hub.name;
+    r.scenario = job.scenario;
+    r.scheduler = job.scheduler;
+    r.seed = mix_seed(cfg.base_seed, r.hub_id);
+    r.episodes = cfg.episodes_per_hub;
+    core::HubConfig hub = job.hub;
+    hub.seed = r.seed;
+    hubs[i].env = std::make_unique<core::EctHubEnv>(std::move(hub), job.env);
+    hubs[i].pol = make_policy(job.scheduler, r.seed ^ kPolicySeedTag,
+                              hubs[i].env->observation_layout(), job.checkpoint);
+    hubs[i].state.resize(hubs[i].env->state_dim());
+    hubs[i].dt_hours = TimeGrid(job.env.episode_days, job.env.slots_per_day).slot_hours();
+    r.slots_per_episode = hubs[i].env->slots_per_episode();
+    coupled = coupled || job.coupled();
+    neighbors.push_back(job.neighbors);
+  }
+  std::optional<CouplingBus> bus;
+  if (coupled) bus.emplace(neighbors);
+
+  std::size_t active = jobs.size();
+  while (active > 0) {
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      Hub& h = hubs[i];
+      HubRunResult& r = results[i];
+      if (h.episodes_done == cfg.episodes_per_hub) continue;
+      const bool last_episode = h.episodes_done + 1 == cfg.episodes_per_hub;
+      if (h.needs_reset) {
+        h.needs_reset = false;
+        if (bus) bus->drop_pending(i);
+        h.env->reset_into(h.state);
+        h.pol->begin_episode();
+        if (last_episode) h.soc.open(h.env->soc_frac());
+      }
+      const std::size_t action = h.pol->decide(h.state);
+      core::StepOutcome out;
+      if (bus) {
+        core::SlotCoupling sc;
+        sc.import_kw = bus->take(i);
+        out = h.env->step_into(action, h.state, sc);
+        bus->deposit(i, sc.export_kw);
+        r.through_kwh += sc.through_kw * h.dt_hours;
+        r.spill_exported_kwh += sc.export_kw * h.dt_hours;
+        r.spill_served_kwh += sc.served_import_kw * h.dt_hours;
+        r.spill_dropped_kwh += sc.dropped_import_kw * h.dt_hours;
+        if (sc.outage) ++r.outage_slots;
+      } else {
+        out = h.env->step_into(action, h.state);
+      }
+      if (last_episode) h.soc.sample(h.env->soc_frac());
+      if (!out.done) continue;
+      if (last_episode) {
+        h.soc.close();
+        r.soc = h.soc;
+      }
+      const core::ProfitLedger& ledger = h.env->ledger();
+      r.revenue += ledger.total_revenue();
+      r.grid_cost += ledger.total_grid_cost();
+      r.bp_cost += ledger.total_bp_cost();
+      r.profit += ledger.total_profit();
+      r.episode_profit.push_back(ledger.total_profit());
+      h.needs_reset = true;
+      if (++h.episodes_done == cfg.episodes_per_hub) --active;
+    }
+    if (bus) bus->exchange();
+  }
+  return results;
+}
+
+void expect_matches_oracle(const std::vector<HubRunResult>& oracle,
+                           const std::vector<HubRunResult>& got) {
+  expect_results_bit_identical(oracle, got);
+  for (std::size_t i = 0; i < oracle.size() && i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == oracle[i]) << "hub " << i << " differs in some field";
+  }
+}
+
+TEST(FleetOracle, RunMatchesIndependentReferenceAtEveryThreadCount) {
+  const std::vector<FleetJob> jobs = make_all_kind_jobs();
+  FleetRunnerConfig cfg;
+  cfg.episodes_per_hub = 2;
+  cfg.hub_id_offset = 5;  // a shard's view: seeds follow the global id
+  const auto oracle = oracle_run(jobs, cfg);
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    SCOPED_TRACE("run threads=" + std::to_string(threads));
+    cfg.threads = threads;
+    expect_matches_oracle(oracle, FleetRunner(cfg).run(jobs));
+  }
+}
+
+TEST(FleetOracle, LockstepMatchesIndependentReferenceUnderBothPlacements) {
+  const std::vector<FleetJob> jobs = make_all_kind_jobs();
+  FleetRunnerConfig cfg;
+  cfg.episodes_per_hub = 2;
+  const auto oracle = oracle_run(jobs, cfg);
+  for (const std::size_t threads : {1u, 2u, 5u, 8u}) {
+    for (const LockstepGemm mode : all_lockstep_gemm_modes()) {
+      SCOPED_TRACE("lockstep threads=" + std::to_string(threads) + " gemm=" + to_string(mode));
+      cfg.lockstep_threads = threads;
+      cfg.lockstep_gemm = mode;
+      expect_matches_oracle(oracle, FleetRunner(cfg).run_lockstep(jobs));
+    }
+  }
+}
+
+TEST(FleetOracle, CoupledMetroLockstepMatchesIndependentReference) {
+  const std::vector<FleetJob> jobs = make_coupled_metro_jobs(64);
+  FleetRunnerConfig cfg;
+  cfg.episodes_per_hub = 2;
+  const auto oracle = oracle_run(jobs, cfg);
+  double exported = 0.0;
+  for (const HubRunResult& r : oracle) exported += r.spill_exported_kwh;
+  ASSERT_GT(exported, 0.0) << "the reference must exercise the exchange";
+  for (const std::size_t threads : {1u, 2u, 5u, 8u}) {
+    for (const LockstepGemm mode : all_lockstep_gemm_modes()) {
+      SCOPED_TRACE("lockstep threads=" + std::to_string(threads) + " gemm=" + to_string(mode));
+      cfg.lockstep_threads = threads;
+      cfg.lockstep_gemm = mode;
+      expect_matches_oracle(oracle, FleetRunner(cfg).run_lockstep(jobs));
+    }
+  }
 }
 
 TEST(FleetRunner, RunRejectsCoupledJobs) {
