@@ -1,5 +1,5 @@
-// Micro-benchmarks (google-benchmark) of the hot kernels: NN forward /
-// backward, environment stepping and PPO updates.
+// Micro-benchmarks (google-benchmark) of the hot kernels: Rng draws, NN
+// forward / backward, environment stepping and PPO updates.
 #include "core/hub_env.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
@@ -10,6 +10,29 @@
 namespace {
 
 using namespace ecthub;
+
+// Per-draw costs of the Rng paths that episode generation leans on.
+void BM_RngUniform(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform());
+}
+BENCHMARK(BM_RngUniform);
+
+void BM_RngNormal(benchmark::State& state) {
+  Rng rng(2);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0.0, 1.0));
+}
+BENCHMARK(BM_RngNormal);
+
+// A fork draws one word and seeds a fresh 312-word engine from it.
+void BM_RngFork(benchmark::State& state) {
+  Rng rng(3);
+  for (auto _ : state) {
+    Rng child = rng.fork();
+    benchmark::DoNotOptimize(child);
+  }
+}
+BENCHMARK(BM_RngFork);
 
 void BM_MatrixMatmul(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

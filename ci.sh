@@ -64,17 +64,20 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #  (b) header self-containment — every src/**/*.hpp compiled standalone
 #      (twice, for guard idempotency) via the generated-TU object target;
 #  (c) GCC -fanalyzer compile-only over the leaf modules (common, nn,
-#      battery, weather) and the policy, serve, rl, core and sim modules.
-#      GCC 12's analyzer does not
-#      model std::allocator, so three libstdc++-internal false-positive
-#      classes are suppressed with justification (see tools/lint_allowlist.txt header and README "Static
-#      analysis"); every other -Wanalyzer-* check is a hard error.
+#      battery, weather), the episode-generator modules that inline Rng's
+#      draws (traffic, pricing, ev, renewables) and the policy, serve, rl,
+#      core and sim modules.  GCC 12's analyzer does not model
+#      std::allocator, so three libstdc++-internal false-positive classes
+#      are suppressed with justification (see tools/lint_allowlist.txt
+#      header and README "Static analysis"); every other -Wanalyzer-* check
+#      is a hard error.
 echo "==> Job 5: invariant lint + header self-containment + GCC analyzer"
 cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
 "${PREFIX}/tools/ecthub_lint" --allowlist tools/lint_allowlist.txt \
   --check-allowlist src
 
 for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp \
+         src/traffic/*.cpp src/pricing/*.cpp src/ev/*.cpp src/renewables/*.cpp \
          src/policy/*.cpp src/serve/*.cpp src/rl/*.cpp src/core/*.cpp src/sim/*.cpp; do
   g++ -std=c++20 -Isrc -O1 -c "$f" -o /dev/null \
     -fanalyzer -Werror \
@@ -82,7 +85,7 @@ for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp \
     -Wno-analyzer-null-dereference \
     -Wno-analyzer-possible-null-dereference
 done
-echo "    analyzer pass clean over common/nn/battery/weather/policy/serve/rl/core/sim"
+echo "    analyzer pass clean over common/nn/battery/weather/traffic/pricing/ev/renewables/policy/serve/rl/core/sim"
 
 # Job 6 is the benchmark's smoke test: it builds perfbench/ against this
 # checkout in its own tree and runs every benchmark workload at a tiny shape,

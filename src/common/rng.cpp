@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 
 namespace ecthub {
@@ -15,9 +16,43 @@ std::uint64_t mix_seed(std::uint64_t base_seed, std::uint64_t stream) noexcept {
   return z ^ (z >> 31);
 }
 
-double Rng::uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> d(lo, hi);
-  return d(engine_);
+namespace {
+
+// MT19937-64 parameters (Matsumoto & Nishimura), as in the standard
+// library's mt19937_64.
+constexpr std::size_t kN = Mt19937_64::kStateWords;
+constexpr std::size_t kM = 156;
+constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+// One twist step: joins the top 33 bits of `upper` to the low 31 bits of
+// `lower` and applies the matrix term when the joined word is odd.
+constexpr std::uint64_t twisted(std::uint64_t far, std::uint64_t upper,
+                                std::uint64_t lower) noexcept {
+  const std::uint64_t y = (upper & kUpperMask) | (lower & kLowerMask);
+  return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+}  // namespace
+
+Mt19937_64::Mt19937_64(result_type seed) noexcept : pos_(kN) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kN; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = kInitMultiplier * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937_64::twist() noexcept {
+  std::uint64_t* x = state_.data();
+  for (std::size_t k = 0; k < kN - kM; ++k) x[k] = twisted(x[k + kM], x[k], x[k + 1]);
+  for (std::size_t k = kN - kM; k < kN - 1; ++k) {
+    x[k] = twisted(x[k + kM - kN], x[k], x[k + 1]);
+  }
+  x[kN - 1] = twisted(x[kM - 1], x[kN - 1], x[0]);
+  pos_ = 0;
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -25,39 +60,10 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return d(engine_);
 }
 
-double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(engine_);
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  std::bernoulli_distribution d(p);
-  return d(engine_);
-}
-
 std::uint64_t Rng::poisson(double mean) {
   if (mean <= 0.0) return 0;
   std::poisson_distribution<std::uint64_t> d(mean);
   return d(engine_);
-}
-
-double Rng::weibull(double shape, double scale) {
-  std::weibull_distribution<double> d(shape, scale);
-  return d(engine_);
-}
-
-double Rng::exponential(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument("Rng::exponential: rate must be > 0");
-  std::exponential_distribution<double> d(rate);
-  return d(engine_);
-}
-
-Rng Rng::fork() {
-  // Derive a child seed from the parent stream; advances the parent state so
-  // successive forks are independent.
-  return Rng(engine_());
 }
 
 void Rng::shuffle(std::vector<std::size_t>& idx) {

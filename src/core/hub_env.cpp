@@ -64,11 +64,11 @@ EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
   if (hub_.recovery_hours < 0.0) {
     throw std::invalid_argument("HubConfig: recovery_hours < 0");
   }
-  // Likewise the episode generators, which every reset builds afresh: their
-  // constructors check the configs.
-  (void)traffic::TrafficGenerator(hub_.traffic, Rng());
-  (void)weather::WeatherGenerator(hub_.weather, Rng());
-  (void)pricing::RtpGenerator(hub_.rtp, Rng());
+  // Likewise the configs of the episode generators, which every reset builds
+  // afresh.
+  traffic::TrafficGenerator::validate(hub_.traffic);
+  weather::WeatherGenerator::validate(hub_.weather);
+  pricing::RtpGenerator::validate(hub_.rtp);
   // The station's behaviour profile is a pure function of the hub config, so
   // it is built once here (also validating it eagerly) rather than per reset.
   station_.emplace(hub_.station,

@@ -7,19 +7,35 @@
 
 namespace ecthub::pricing {
 
-RtpGenerator::RtpGenerator(RtpConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
-  if (cfg_.base_price <= 0.0) throw std::invalid_argument("RtpConfig: base_price must be > 0");
-  if (cfg_.spike_prob < 0.0 || cfg_.spike_prob > 1.0) {
-    throw std::invalid_argument("RtpConfig: spike_prob out of [0, 1]");
+void RtpGenerator::validate(const RtpConfig& cfg) {
+  if (!(std::isfinite(cfg.base_price) && cfg.base_price > 0.0)) {
+    throw std::invalid_argument("RtpConfig: base_price not finite and > 0");
   }
-  if (cfg_.noise_persistence < 0.0 || cfg_.noise_persistence >= 1.0) {
+  if (!std::isfinite(cfg.diurnal_amplitude)) {
+    throw std::invalid_argument("RtpConfig: diurnal_amplitude not finite");
+  }
+  if (!std::isfinite(cfg.load_coupling)) {
+    throw std::invalid_argument("RtpConfig: load_coupling not finite");
+  }
+  if (!(std::isfinite(cfg.noise_sigma) && cfg.noise_sigma >= 0.0)) {
+    throw std::invalid_argument("RtpConfig: noise_sigma not finite and >= 0");
+  }
+  if (!(cfg.noise_persistence >= 0.0 && cfg.noise_persistence < 1.0)) {
     throw std::invalid_argument("RtpConfig: noise_persistence out of [0, 1)");
   }
-  if (cfg_.noise_sigma < 0.0) throw std::invalid_argument("RtpConfig: noise_sigma < 0");
-  if (cfg_.spike_prob > 0.0 && cfg_.spike_scale <= 0.0) {
-    throw std::invalid_argument("RtpConfig: spike_scale must be > 0 when spike_prob > 0");
+  if (!(cfg.spike_prob >= 0.0 && cfg.spike_prob <= 1.0)) {
+    throw std::invalid_argument("RtpConfig: spike_prob out of [0, 1]");
+  }
+  if (cfg.spike_prob > 0.0 && !(std::isfinite(cfg.spike_scale) && cfg.spike_scale > 0.0)) {
+    throw std::invalid_argument(
+        "RtpConfig: spike_scale must be finite and > 0 when spike_prob > 0");
+  }
+  if (!std::isfinite(cfg.floor_price)) {
+    throw std::invalid_argument("RtpConfig: floor_price not finite");
   }
 }
+
+RtpGenerator::RtpGenerator(RtpConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { validate(cfg_); }
 
 double RtpGenerator::diurnal_component(double hour_of_day) const {
   // Two-bump day: a morning shoulder around 9h and the dominant evening peak

@@ -26,7 +26,12 @@ struct RtpConfig {
 
 class RtpGenerator {
  public:
+  /// Throws std::invalid_argument on an out-of-range config.
   RtpGenerator(RtpConfig cfg, Rng rng);
+
+  /// The constructor's config check (NaN fails it), for owners that build
+  /// generators lazily.
+  static void validate(const RtpConfig& cfg);
 
   /// Price series in $/MWh.  `system_load` (values in [0, 1]) couples prices
   /// to demand; pass an empty vector for a pure diurnal process.

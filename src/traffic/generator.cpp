@@ -6,14 +6,26 @@
 
 namespace ecthub::traffic {
 
-TrafficGenerator::TrafficGenerator(TrafficConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
-  if (cfg_.noise_persistence < 0.0 || cfg_.noise_persistence >= 1.0) {
+void TrafficGenerator::validate(const TrafficConfig& cfg) {
+  if (!(std::isfinite(cfg.weekend_factor) && cfg.weekend_factor >= 0.0)) {
+    throw std::invalid_argument("TrafficConfig: weekend_factor not finite and >= 0");
+  }
+  if (!(cfg.noise_persistence >= 0.0 && cfg.noise_persistence < 1.0)) {
     throw std::invalid_argument("TrafficConfig: noise_persistence must be in [0, 1)");
   }
-  if (cfg_.noise_sigma < 0.0) throw std::invalid_argument("TrafficConfig: noise_sigma < 0");
-  if (cfg_.min_load < 0.0 || cfg_.min_load > 1.0) {
+  if (!(std::isfinite(cfg.noise_sigma) && cfg.noise_sigma >= 0.0)) {
+    throw std::invalid_argument("TrafficConfig: noise_sigma not finite and >= 0");
+  }
+  if (!(std::isfinite(cfg.peak_volume_gb) && cfg.peak_volume_gb >= 0.0)) {
+    throw std::invalid_argument("TrafficConfig: peak_volume_gb not finite and >= 0");
+  }
+  if (!(cfg.min_load >= 0.0 && cfg.min_load <= 1.0)) {
     throw std::invalid_argument("TrafficConfig: min_load out of [0, 1]");
   }
+}
+
+TrafficGenerator::TrafficGenerator(TrafficConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
+  validate(cfg_);
 }
 
 TrafficTrace TrafficGenerator::generate(const TimeGrid& grid) {

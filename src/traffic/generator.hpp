@@ -35,7 +35,12 @@ struct TrafficTrace {
 
 class TrafficGenerator {
  public:
+  /// Throws std::invalid_argument on an out-of-range config.
   TrafficGenerator(TrafficConfig cfg, Rng rng);
+
+  /// The constructor's config check (NaN fails it), for owners that build
+  /// generators lazily.
+  static void validate(const TrafficConfig& cfg);
 
   /// Generates a full trace over `grid`.  Deterministic given the Rng state
   /// at construction.

@@ -30,15 +30,23 @@ double clear_sky_ghi(const SolarConfig& cfg, std::size_t day_of_year, double hou
 }
 
 void SolarModel::validate(const SolarConfig& cfg) {
-  if (cfg.peak_ghi <= 0.0) throw std::invalid_argument("SolarConfig: peak_ghi must be > 0");
-  if (cfg.cloud_switch_prob < 0.0 || cfg.cloud_switch_prob > 1.0) {
+  if (!(std::isfinite(cfg.peak_ghi) && cfg.peak_ghi > 0.0)) {
+    throw std::invalid_argument("SolarConfig: peak_ghi not finite and > 0");
+  }
+  if (!std::isfinite(cfg.season_daylength_swing_h)) {
+    throw std::invalid_argument("SolarConfig: season_daylength_swing_h not finite");
+  }
+  if (!std::isfinite(cfg.mean_daylength_h)) {
+    throw std::invalid_argument("SolarConfig: mean_daylength_h not finite");
+  }
+  if (!(cfg.cloud_switch_prob >= 0.0 && cfg.cloud_switch_prob <= 1.0)) {
     throw std::invalid_argument("SolarConfig: cloud_switch_prob out of [0, 1]");
   }
-  if (cfg.cloudy_transmittance < 0.0 || cfg.cloudy_transmittance > 1.0) {
+  if (!(cfg.cloudy_transmittance >= 0.0 && cfg.cloudy_transmittance <= 1.0)) {
     throw std::invalid_argument("SolarConfig: cloudy_transmittance out of [0, 1]");
   }
-  if (cfg.transmittance_sigma < 0.0) {
-    throw std::invalid_argument("SolarConfig: transmittance_sigma < 0");
+  if (!(std::isfinite(cfg.transmittance_sigma) && cfg.transmittance_sigma >= 0.0)) {
+    throw std::invalid_argument("SolarConfig: transmittance_sigma not finite and >= 0");
   }
 }
 

@@ -57,7 +57,8 @@ class SolarModel {
   /// Throws std::invalid_argument on an out-of-range config.
   SolarModel(SolarConfig cfg, Rng rng);
 
-  /// The constructor's config check, for owners that build models lazily.
+  /// The constructor's config check (NaN fails it), for owners that build
+  /// models lazily.
   static void validate(const SolarConfig& cfg);
 
   [[nodiscard]] std::vector<double> generate(const TimeGrid& grid);

@@ -6,14 +6,24 @@
 
 namespace ecthub::weather {
 
-WeatherGenerator::WeatherGenerator(WeatherConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
-  if (cfg_.temp_noise_sigma < 0.0) {
-    throw std::invalid_argument("WeatherConfig: temp_noise_sigma < 0");
+void WeatherGenerator::validate(const WeatherConfig& cfg) {
+  if (!std::isfinite(cfg.mean_temperature_c)) {
+    throw std::invalid_argument("WeatherConfig: mean_temperature_c not finite");
+  }
+  if (!std::isfinite(cfg.diurnal_temp_swing_c)) {
+    throw std::invalid_argument("WeatherConfig: diurnal_temp_swing_c not finite");
+  }
+  if (!(std::isfinite(cfg.temp_noise_sigma) && cfg.temp_noise_sigma >= 0.0)) {
+    throw std::invalid_argument("WeatherConfig: temp_noise_sigma not finite and >= 0");
   }
   // The solar and wind models are built per generate(); check their configs
   // now.
-  SolarModel::validate(cfg_.solar);
-  WindModel::validate(cfg_.wind);
+  SolarModel::validate(cfg.solar);
+  WindModel::validate(cfg.wind);
+}
+
+WeatherGenerator::WeatherGenerator(WeatherConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
+  validate(cfg_);
 }
 
 WeatherSeries WeatherGenerator::generate(const TimeGrid& grid) {

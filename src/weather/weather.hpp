@@ -35,6 +35,10 @@ class WeatherGenerator {
   /// and wind configs included.
   WeatherGenerator(WeatherConfig cfg, Rng rng);
 
+  /// The constructor's config check (NaN fails it), for owners that build
+  /// generators lazily.
+  static void validate(const WeatherConfig& cfg);
+
   [[nodiscard]] WeatherSeries generate(const TimeGrid& grid);
 
   /// Allocation-free variant: regenerates `series` in place, reusing the

@@ -8,12 +8,21 @@
 namespace ecthub::weather {
 
 void WindModel::validate(const WindConfig& cfg) {
-  if (cfg.mean_speed_ms < 0.0) throw std::invalid_argument("WindConfig: mean_speed_ms < 0");
-  if (cfg.reversion_rate <= 0.0 || cfg.reversion_rate >= 1.0) {
+  if (!(std::isfinite(cfg.mean_speed_ms) && cfg.mean_speed_ms >= 0.0)) {
+    throw std::invalid_argument("WindConfig: mean_speed_ms not finite and >= 0");
+  }
+  if (!(cfg.reversion_rate > 0.0 && cfg.reversion_rate < 1.0)) {
     throw std::invalid_argument("WindConfig: reversion_rate must be in (0, 1)");
   }
-  if (cfg.volatility < 0.0) throw std::invalid_argument("WindConfig: volatility < 0");
-  if (cfg.max_speed_ms < 0.0) throw std::invalid_argument("WindConfig: max_speed_ms < 0");
+  if (!(std::isfinite(cfg.volatility) && cfg.volatility >= 0.0)) {
+    throw std::invalid_argument("WindConfig: volatility not finite and >= 0");
+  }
+  if (!std::isfinite(cfg.diurnal_amplitude)) {
+    throw std::invalid_argument("WindConfig: diurnal_amplitude not finite");
+  }
+  if (!(std::isfinite(cfg.max_speed_ms) && cfg.max_speed_ms >= 0.0)) {
+    throw std::invalid_argument("WindConfig: max_speed_ms not finite and >= 0");
+  }
 }
 
 WindModel::WindModel(WindConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { validate(cfg_); }

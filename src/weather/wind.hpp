@@ -28,7 +28,8 @@ class WindModel {
   /// Throws std::invalid_argument on an out-of-range config.
   WindModel(WindConfig cfg, Rng rng);
 
-  /// The constructor's config check, for owners that build models lazily.
+  /// The constructor's config check (NaN fails it), for owners that build
+  /// models lazily.
   static void validate(const WindConfig& cfg);
 
   /// Wind-speed series (m/s) over `grid`.

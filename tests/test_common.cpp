@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <vector>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <utility>
+#include <vector>
 
 namespace ecthub {
 namespace {
@@ -147,6 +152,7 @@ TEST(Rng, PoissonZeroMeanYieldsZero) {
 TEST(Rng, ExponentialRejectsBadRate) {
   Rng rng(5);
   EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
+  EXPECT_THROW(rng.exponential(std::nan("")), std::invalid_argument);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {
@@ -176,6 +182,195 @@ TEST(Rng, ShufflePermutes) {
   rng.shuffle(copy);
   std::sort(copy.begin(), copy.end());
   EXPECT_EQ(copy, idx);
+}
+
+// ---------------------------------------------------------------- RngTwin
+//
+// The in-repo engine and distributions against the standard library's: the
+// bit contract in rng.hpp.
+
+constexpr std::uint64_t kTop = ~std::uint64_t{0};
+
+// libstdc++'s assertion mode rejects out-of-domain parameters (lo > hi, p
+// outside [0, 1]) when a distribution is constructed, so those cases run
+// only without it.
+#ifdef _GLIBCXX_ASSERTIONS
+constexpr bool kStdAssertsParams = true;
+#else
+constexpr bool kStdAssertsParams = false;
+#endif
+
+TEST(RngTwin, EngineMatchesStdOverSeveralTwists) {
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, kTop};
+  for (std::uint64_t s = 0; s < 64; ++s) seeds.push_back(mix_seed(2024, s));
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    for (std::size_t k = 0; k < 4 * Mt19937_64::kStateWords; ++k) {
+      ASSERT_EQ(ours(), ref()) << "seed " << seed << " word " << k;
+    }
+  }
+}
+
+// A generator that replays a fixed word list (cyclically) and counts what it
+// hands out.
+class ReplayWords {
+ public:
+  using result_type = std::uint64_t;
+  explicit ReplayWords(std::vector<std::uint64_t> words) : words_(std::move(words)) {}
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return kTop; }
+  result_type operator()() { return words_[used_++ % words_.size()]; }
+  [[nodiscard]] std::size_t used() const { return used_; }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::size_t used_ = 0;
+};
+
+// Draws from `ours` and `ref` until they have used all of `words`, checking
+// after every draw that both produced the same value bit for bit and used
+// the same number of words.
+template <class Ours, class Ref>
+void expect_twin(const std::vector<std::uint64_t>& words, Ours ours, Ref ref) {
+  ReplayWords a(words);
+  ReplayWords b(words);
+  for (std::size_t draw = 0; a.used() < words.size(); ++draw) {
+    const auto x = ours(a);
+    const auto y = ref(b);
+    ASSERT_EQ(0, std::memcmp(&x, &y, sizeof x)) << "draw " << draw << ": " << x << " vs " << y;
+    ASSERT_EQ(a.used(), b.used()) << "draw " << draw;
+  }
+}
+
+// Conversion boundaries (2^64 - 1 takes the below-one clamp), then a stretch
+// of engine words.
+std::vector<std::uint64_t> crafted_words() {
+  std::vector<std::uint64_t> w = {0,
+                                  1,
+                                  (std::uint64_t{1} << 53) - 1,
+                                  std::uint64_t{1} << 53,
+                                  (std::uint64_t{1} << 53) + 1,
+                                  std::uint64_t{1} << 63,
+                                  kTop - 1023,
+                                  kTop - 1024,
+                                  kTop};
+  std::mt19937_64 eng(99);
+  for (int i = 0; i < 2000; ++i) w.push_back(eng());
+  return w;
+}
+
+TEST(RngTwin, CanonicalMatchesGenerateCanonical) {
+  expect_twin(
+      crafted_words(), [](ReplayWords& g) { return detail::canonical(g); },
+      [](ReplayWords& g) { return std::generate_canonical<double, 53>(g); });
+  ReplayWords top({kTop - 1023, kTop});
+  EXPECT_EQ(detail::canonical(top), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(detail::canonical(top), std::nextafter(1.0, 0.0));
+}
+
+TEST(RngTwin, UniformMatchesStdIncludingReversedBounds) {
+  std::vector<std::pair<double, double>> bounds = {{0.0, 1.0}, {-3.0, 7.5}};
+  if (!kStdAssertsParams) bounds.emplace_back(5.0, -2.0);
+  for (const auto& [lo, hi] : bounds) {
+    expect_twin(
+        crafted_words(), [lo, hi](ReplayWords& g) { return detail::uniform(g, lo, hi); },
+        [lo, hi](ReplayWords& g) { return std::uniform_real_distribution<double>(lo, hi)(g); });
+  }
+}
+
+TEST(RngTwin, NormalMatchesStdThroughPolarRejections) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;  // canonical 0.5, x = 0
+  const std::vector<std::uint64_t> rejects = {
+      kTop, kTop,            // r2 = 2 > 1
+      kHalf, kHalf,          // r2 == 0
+      0, kTop,               // r2 ~ 2 > 1
+      kHalf + (std::uint64_t{1} << 24), kHalf - (std::uint64_t{1} << 34),  // accepted, tiny r2
+  };
+  const auto ref = [](double mean, double sd) {
+    return [mean, sd](ReplayWords& g) { return std::normal_distribution<double>(mean, sd)(g); };
+  };
+  expect_twin(rejects, [](ReplayWords& g) { return detail::normal(g, 0.0, 1.0); }, ref(0.0, 1.0));
+  std::vector<std::uint64_t> words = rejects;
+  const std::vector<std::uint64_t> crafted = crafted_words();
+  words.insert(words.end(), crafted.begin() + 9, crafted.end());
+  expect_twin(words, [](ReplayWords& g) { return detail::normal(g, 4.0, 2.5); }, ref(4.0, 2.5));
+}
+
+TEST(RngTwin, BernoulliMatchesStdAtEdgeProbabilities) {
+  std::vector<double> probabilities = {0.0, 1e-300, 0.5, 1.0};
+  if (!kStdAssertsParams) probabilities.insert(probabilities.end(), {-0.1, std::nan("")});
+  for (const double p : probabilities) {
+    expect_twin(
+        crafted_words(), [p](ReplayWords& g) { return detail::bernoulli(g, p); },
+        [p](ReplayWords& g) { return std::bernoulli_distribution(p)(g); });
+  }
+}
+
+TEST(RngTwin, ExponentialAndWeibullMatchStd) {
+  for (const double rate : {0.5, 1.0, 1.0 / 150.0}) {
+    expect_twin(
+        crafted_words(), [rate](ReplayWords& g) { return detail::exponential(g, rate); },
+        [rate](ReplayWords& g) { return std::exponential_distribution<double>(rate)(g); });
+  }
+  for (const auto& [shape, scale] : {std::pair{2.0, 7.0}, std::pair{0.7, 1.0}}) {
+    expect_twin(
+        crafted_words(),
+        [shape, scale](ReplayWords& g) { return detail::weibull(g, shape, scale); },
+        [shape, scale](ReplayWords& g) {
+          return std::weibull_distribution<double>(shape, scale)(g);
+        });
+  }
+}
+
+// Rng's own methods, interleaved, against fresh std distributions over the
+// standard engine: a saved polar value or a different fork would show here.
+TEST(RngTwin, RngMethodsMatchStdDistributionsOverStdEngine) {
+  for (const std::uint64_t seed : {std::uint64_t{7}, mix_seed(11, 3)}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    const auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_TRUE(same(rng.normal(1.0, 0.3), std::normal_distribution<double>(1.0, 0.3)(ref)));
+      ASSERT_TRUE(same(rng.normal(), std::normal_distribution<double>()(ref)));
+      ASSERT_TRUE(same(rng.uniform(2.0, 5.0), std::uniform_real_distribution<double>(2.0, 5.0)(ref)));
+      ASSERT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+      ASSERT_TRUE(same(rng.exponential(0.2), std::exponential_distribution<double>(0.2)(ref)));
+      ASSERT_TRUE(same(rng.weibull(2.0, 3.0), std::weibull_distribution<double>(2.0, 3.0)(ref)));
+      ASSERT_EQ(rng.uniform_int(-5, 1000), std::uniform_int_distribution<std::int64_t>(-5, 1000)(ref));
+      ASSERT_EQ(rng.poisson(3.5), std::poisson_distribution<std::uint64_t>(3.5)(ref));
+      ASSERT_EQ(rng.poisson(40.0), std::poisson_distribution<std::uint64_t>(40.0)(ref));
+    }
+    Rng child = rng.fork();
+    std::mt19937_64 ref_child(ref());
+    for (int i = 0; i < 3 * 312; ++i) ASSERT_EQ(child.engine()(), ref_child());
+    ASSERT_EQ(rng.engine()(), ref());
+  }
+}
+
+TEST(RngTwin, IntegerPathsMatchStdOverStdEngine) {
+  Rng rng(31);
+  std::mt19937_64 ref(31);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(rng.uniform_int(0, 3), std::uniform_int_distribution<std::int64_t>(0, 3)(ref));
+    ASSERT_EQ(rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max()),
+              std::uniform_int_distribution<std::int64_t>(
+                  std::numeric_limits<std::int64_t>::min(),
+                  std::numeric_limits<std::int64_t>::max())(ref));
+    ASSERT_EQ(rng.poisson(0.25), std::poisson_distribution<std::uint64_t>(0.25)(ref));
+    ASSERT_EQ(rng.poisson(1e4), std::poisson_distribution<std::uint64_t>(1e4)(ref));
+  }
+  std::vector<std::size_t> ours(257);
+  std::iota(ours.begin(), ours.end(), std::size_t{0});
+  std::vector<std::size_t> theirs = ours;
+  for (int round = 0; round < 4; ++round) {
+    rng.shuffle(ours);
+    std::shuffle(theirs.begin(), theirs.end(), ref);
+    ASSERT_EQ(ours, theirs) << "round " << round;
+  }
 }
 
 // ---------------------------------------------------------------- stats

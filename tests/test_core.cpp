@@ -543,6 +543,27 @@ TEST(EctHubEnv, BadGeneratorConfigThrowsAtConstruction) {
   EXPECT_THROW(EctHubEnv(bad_traffic, small_env()), std::invalid_argument);
 }
 
+TEST(EctHubEnv, NanGeneratorConfigThrowsAtConstruction) {
+  // The env checks the generator configs through their static validators,
+  // so NaN fails here as it does in the generators' own constructors.
+  const double nan = std::nan("");
+  HubConfig bad_traffic = HubConfig::urban("nan-traffic", 61);
+  bad_traffic.traffic.noise_persistence = nan;
+  EXPECT_THROW(EctHubEnv(bad_traffic, small_env()), std::invalid_argument);
+  HubConfig bad_rtp = HubConfig::urban("nan-rtp", 61);
+  bad_rtp.rtp.base_price = nan;
+  EXPECT_THROW(EctHubEnv(bad_rtp, small_env()), std::invalid_argument);
+  HubConfig bad_weather = HubConfig::rural("nan-wx", 61);
+  bad_weather.weather.temp_noise_sigma = nan;
+  EXPECT_THROW(EctHubEnv(bad_weather, small_env()), std::invalid_argument);
+  HubConfig bad_solar = HubConfig::rural("nan-solar", 61);
+  bad_solar.weather.solar.cloud_switch_prob = nan;
+  EXPECT_THROW(EctHubEnv(bad_solar, small_env()), std::invalid_argument);
+  HubConfig bad_wind = HubConfig::rural("nan-wind", 61);
+  bad_wind.weather.wind.reversion_rate = nan;
+  EXPECT_THROW(EctHubEnv(bad_wind, small_env()), std::invalid_argument);
+}
+
 TEST(EctHubEnv, NegativeRecoveryHoursThrowsAtConstruction) {
   HubConfig hub = HubConfig::urban("bad-recovery", 58);
   hub.recovery_hours = -1.0;

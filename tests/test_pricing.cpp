@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+#include <string>
+
 namespace ecthub::pricing {
 namespace {
 
@@ -108,6 +112,36 @@ TEST(RtpGenerator, RejectsBadConfig) {
   bad2.spike_prob = 2.0;
   EXPECT_THROW(RtpGenerator(bad2, Rng(1)), std::invalid_argument);
 }
+
+// Every real-valued RtpConfig field: NaN must fail the constructor, not slip
+// through a `x < lo || x > hi` check into the price series.
+struct RtpNanField {
+  const char* name;
+  double* (*field)(RtpConfig&);
+};
+
+void PrintTo(const RtpNanField& f, std::ostream* os) { *os << f.name; }
+
+class RtpNanFieldTest : public ::testing::TestWithParam<RtpNanField> {};
+
+TEST_P(RtpNanFieldTest, ConstructorRejectsNan) {
+  RtpConfig cfg;
+  *GetParam().field(cfg) = std::nan("");
+  EXPECT_THROW(RtpGenerator(cfg, Rng(1)), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RtpConfigFields, RtpNanFieldTest,
+    ::testing::Values(
+        RtpNanField{"base_price", [](RtpConfig& c) { return &c.base_price; }},
+        RtpNanField{"diurnal_amplitude", [](RtpConfig& c) { return &c.diurnal_amplitude; }},
+        RtpNanField{"load_coupling", [](RtpConfig& c) { return &c.load_coupling; }},
+        RtpNanField{"noise_sigma", [](RtpConfig& c) { return &c.noise_sigma; }},
+        RtpNanField{"noise_persistence", [](RtpConfig& c) { return &c.noise_persistence; }},
+        RtpNanField{"spike_prob", [](RtpConfig& c) { return &c.spike_prob; }},
+        RtpNanField{"spike_scale", [](RtpConfig& c) { return &c.spike_scale; }},
+        RtpNanField{"floor_price", [](RtpConfig& c) { return &c.floor_price; }}),
+    [](const ::testing::TestParamInfo<RtpNanField>& p) { return std::string(p.param.name); });
 
 TEST(RtpGenerator, RejectsScalelessSpikesAndNegativeNoiseAtConstruction) {
   // A zero spike scale used to pass construction and throw from

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+#include <string>
+
 namespace ecthub::traffic {
 namespace {
 
@@ -158,6 +162,34 @@ TEST(TrafficGenerator, RejectsBadConfig) {
   bad3.noise_sigma = -0.1;
   EXPECT_THROW(TrafficGenerator(bad3, Rng(1)), std::invalid_argument);
 }
+
+// Every real-valued TrafficConfig field: NaN must fail the constructor, not
+// slip through a `x < lo || x > hi` check into the episode series.
+struct TrafficNanField {
+  const char* name;
+  double* (*field)(TrafficConfig&);
+};
+
+void PrintTo(const TrafficNanField& f, std::ostream* os) { *os << f.name; }
+
+class TrafficNanFieldTest : public ::testing::TestWithParam<TrafficNanField> {};
+
+TEST_P(TrafficNanFieldTest, ConstructorRejectsNan) {
+  TrafficConfig cfg;
+  *GetParam().field(cfg) = std::nan("");
+  EXPECT_THROW(TrafficGenerator(cfg, Rng(1)), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrafficConfigFields, TrafficNanFieldTest,
+    ::testing::Values(
+        TrafficNanField{"weekend_factor", [](TrafficConfig& c) { return &c.weekend_factor; }},
+        TrafficNanField{"noise_persistence",
+                        [](TrafficConfig& c) { return &c.noise_persistence; }},
+        TrafficNanField{"noise_sigma", [](TrafficConfig& c) { return &c.noise_sigma; }},
+        TrafficNanField{"peak_volume_gb", [](TrafficConfig& c) { return &c.peak_volume_gb; }},
+        TrafficNanField{"min_load", [](TrafficConfig& c) { return &c.min_load; }}),
+    [](const ::testing::TestParamInfo<TrafficNanField>& p) { return std::string(p.param.name); });
 
 TEST(TrafficGenerator, GenerateIntoMatchesGenerateAndReusesBuffers) {
   const TimeGrid grid(3, 24);

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+#include <string>
+
 namespace ecthub::weather {
 namespace {
 
@@ -96,6 +100,37 @@ TEST(SolarModel, RejectsNegativeTransmittanceSigma) {
   EXPECT_THROW(SolarModel(bad, Rng(1)), std::invalid_argument);
 }
 
+// Every real-valued SolarConfig field: NaN must fail the constructor, not
+// slip through a `x < lo || x > hi` check into the irradiance series.
+struct SolarNanField {
+  const char* name;
+  double* (*field)(SolarConfig&);
+};
+
+void PrintTo(const SolarNanField& f, std::ostream* os) { *os << f.name; }
+
+class SolarNanFieldTest : public ::testing::TestWithParam<SolarNanField> {};
+
+TEST_P(SolarNanFieldTest, ConstructorRejectsNan) {
+  SolarConfig cfg;
+  *GetParam().field(cfg) = std::nan("");
+  EXPECT_THROW(SolarModel(cfg, Rng(1)), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SolarConfigFields, SolarNanFieldTest,
+    ::testing::Values(
+        SolarNanField{"peak_ghi", [](SolarConfig& c) { return &c.peak_ghi; }},
+        SolarNanField{"season_daylength_swing_h",
+                      [](SolarConfig& c) { return &c.season_daylength_swing_h; }},
+        SolarNanField{"mean_daylength_h", [](SolarConfig& c) { return &c.mean_daylength_h; }},
+        SolarNanField{"cloud_switch_prob", [](SolarConfig& c) { return &c.cloud_switch_prob; }},
+        SolarNanField{"cloudy_transmittance",
+                      [](SolarConfig& c) { return &c.cloudy_transmittance; }},
+        SolarNanField{"transmittance_sigma",
+                      [](SolarConfig& c) { return &c.transmittance_sigma; }}),
+    [](const ::testing::TestParamInfo<SolarNanField>& p) { return std::string(p.param.name); });
+
 // ---------------------------------------------------------------- wind
 
 TEST(WindModel, SpeedsWithinPhysicalBounds) {
@@ -147,6 +182,32 @@ TEST(WindModel, RejectsNegativeMaxSpeed) {
   EXPECT_THROW(WindModel(bad, Rng(1)), std::invalid_argument);
 }
 
+// Every real-valued WindConfig field, as for SolarConfig.
+struct WindNanField {
+  const char* name;
+  double* (*field)(WindConfig&);
+};
+
+void PrintTo(const WindNanField& f, std::ostream* os) { *os << f.name; }
+
+class WindNanFieldTest : public ::testing::TestWithParam<WindNanField> {};
+
+TEST_P(WindNanFieldTest, ConstructorRejectsNan) {
+  WindConfig cfg;
+  *GetParam().field(cfg) = std::nan("");
+  EXPECT_THROW(WindModel(cfg, Rng(1)), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindConfigFields, WindNanFieldTest,
+    ::testing::Values(
+        WindNanField{"mean_speed_ms", [](WindConfig& c) { return &c.mean_speed_ms; }},
+        WindNanField{"reversion_rate", [](WindConfig& c) { return &c.reversion_rate; }},
+        WindNanField{"volatility", [](WindConfig& c) { return &c.volatility; }},
+        WindNanField{"diurnal_amplitude", [](WindConfig& c) { return &c.diurnal_amplitude; }},
+        WindNanField{"max_speed_ms", [](WindConfig& c) { return &c.max_speed_ms; }}),
+    [](const ::testing::TestParamInfo<WindNanField>& p) { return std::string(p.param.name); });
+
 // ---------------------------------------------------------------- combined
 
 TEST(WeatherGenerator, RejectsBadConfigsAtConstruction) {
@@ -162,6 +223,36 @@ TEST(WeatherGenerator, RejectsBadConfigsAtConstruction) {
   bad_wind.wind.max_speed_ms = -1.0;
   EXPECT_THROW(WeatherGenerator(bad_wind, Rng(1)), std::invalid_argument);
 }
+
+// Every real-valued WeatherConfig field, nested solar and wind fields
+// included: the constructor checks all of them, since the nested models are
+// only built per generate().
+struct WeatherNanField {
+  const char* name;
+  double* (*field)(WeatherConfig&);
+};
+
+void PrintTo(const WeatherNanField& f, std::ostream* os) { *os << f.name; }
+
+class WeatherNanFieldTest : public ::testing::TestWithParam<WeatherNanField> {};
+
+TEST_P(WeatherNanFieldTest, ConstructorRejectsNan) {
+  WeatherConfig cfg;
+  *GetParam().field(cfg) = std::nan("");
+  EXPECT_THROW(WeatherGenerator(cfg, Rng(1)), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WeatherConfigFields, WeatherNanFieldTest,
+    ::testing::Values(
+        WeatherNanField{"mean_temperature_c",
+                        [](WeatherConfig& c) { return &c.mean_temperature_c; }},
+        WeatherNanField{"diurnal_temp_swing_c",
+                        [](WeatherConfig& c) { return &c.diurnal_temp_swing_c; }},
+        WeatherNanField{"temp_noise_sigma", [](WeatherConfig& c) { return &c.temp_noise_sigma; }},
+        WeatherNanField{"solar_peak_ghi", [](WeatherConfig& c) { return &c.solar.peak_ghi; }},
+        WeatherNanField{"wind_volatility", [](WeatherConfig& c) { return &c.wind.volatility; }}),
+    [](const ::testing::TestParamInfo<WeatherNanField>& p) { return std::string(p.param.name); });
 
 TEST(WeatherGenerator, AllChannelsShareGridLength) {
   WeatherGenerator gen(WeatherConfig{}, Rng(8));
