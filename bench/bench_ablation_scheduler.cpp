@@ -1,4 +1,4 @@
-// Ablation — design-choice benchmarks from DESIGN.md Sec. 5:
+// Ablation — design-choice benchmarks of the hub (README "The Policy API"):
 //   1. ECT-DRL (PPO) vs rule-based schedulers (TOU / greedy price / random /
 //      no battery) on one hub.
 //   2. Renewables ablation: hub profit with and without the PV+WT plant.
@@ -22,9 +22,8 @@ double mean_profit(ecthub::core::EctHubEnv& env, ecthub::policy::Policy& pol,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto episodes = static_cast<std::size_t>(flags.get_int("episodes", 5));
 
   std::cout << "=== Ablation: scheduler, renewables and reserve choices ===\n\n";
@@ -102,6 +101,8 @@ int main(int argc, char** argv) {
   res_table.print(std::cout);
   std::cout << "\nLarger reserves shrink the tradable SoC window, trading profit for\n"
                "blackout resilience (Eq. 6); renewables raise profit by displacing\n"
-               "grid imports — the design points DESIGN.md Sec. 5 calls out.\n";
+               "grid imports.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

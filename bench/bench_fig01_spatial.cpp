@@ -12,9 +12,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto stations = static_cast<std::size_t>(flags.get_int("stations", 2500));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   flags.check_unknown();
@@ -47,3 +46,5 @@ int main(int argc, char** argv) {
                "(clustering ratio >> 1), reproducing the Fig. 1 observation.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -8,9 +8,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
   const std::string csv_dir = flags.get_string("csv", "");
   flags.check_unknown();
@@ -58,3 +57,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -11,9 +11,8 @@
 #include <iostream>
 #include <string>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 33));
   ev::DatasetConfig cfg;
   cfg.num_days = static_cast<std::size_t>(flags.get_int("days", 1095));
@@ -52,3 +51,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -10,9 +10,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto days = static_cast<std::size_t>(flags.get_int("days", 350));
   const std::string csv_dir = flags.get_string("csv", "");
   flags.check_unknown();
@@ -56,3 +55,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

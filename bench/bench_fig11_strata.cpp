@@ -6,9 +6,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   std::cout << "=== Fig. 11: strata prediction of four example stations ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
@@ -43,3 +42,5 @@ int main(int argc, char** argv) {
                "evening), Always dominates daytime slots, None is largest overall.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -5,9 +5,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   std::cout << "=== Fig. 12: strata distribution of four periods ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
@@ -32,3 +31,5 @@ int main(int argc, char** argv) {
                "41.4% vs 2.7-7.2% in other periods) — the hub should discount evenings.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

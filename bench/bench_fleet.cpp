@@ -126,9 +126,8 @@ bool buffers_identical(const std::vector<ecthub::rl::RolloutBuffer>& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto require_positive = [&](const char* name, std::int64_t def) {
     const std::int64_t v = flags.get_int(name, def);
     if (v <= 0) {
@@ -593,3 +592,5 @@ int main(int argc, char** argv) {
             << "% on the serial slot loop)\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -120,8 +120,7 @@ CellResult run_cell(const std::shared_ptr<policy::Policy>& policy,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliFlags flags(argc, argv);
+static int run(const ecthub::CliFlags& flags) {
   const auto requests = static_cast<std::size_t>(flags.get_int("requests", 2000));
   const auto max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 32));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
@@ -187,3 +186,5 @@ int main(int argc, char** argv) {
             << " cells bit-identical to decide_batch.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

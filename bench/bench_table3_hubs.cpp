@@ -6,9 +6,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   std::cout << "=== Table III: average daily rewards for 12 ECT-Hubs ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags, 0.3);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
@@ -62,3 +61,5 @@ int main(int argc, char** argv) {
   benchx::print_shape_check(std::cout, "Mean", means);
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -14,9 +14,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto trials = static_cast<std::size_t>(flags.get_int("trials", 500));
   const double recovery_h = flags.get_double("recovery-hours", 4.0);
   flags.check_unknown();
@@ -61,3 +60,5 @@ int main(int argc, char** argv) {
                "bench quantifies on the profit side.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

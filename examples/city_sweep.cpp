@@ -186,9 +186,8 @@ void print_fleet_report(const std::vector<ecthub::sim::HubRunResult>& results,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const sim::ScenarioRegistry registry = sim::ScenarioRegistry::with_builtins();
   const bool list_mode = flags.get_bool("list");
 
@@ -518,3 +517,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -36,9 +36,8 @@ std::uint64_t steady_now_us() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto clients = static_cast<std::size_t>(flags.get_int("clients", 4));
   const auto requests = static_cast<std::size_t>(flags.get_int("requests", 64));
   const auto max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 8));
@@ -110,3 +109,5 @@ int main(int argc, char** argv) {
             << " served actions bit-identical to decide_batch.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

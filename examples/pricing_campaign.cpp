@@ -11,9 +11,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto station = static_cast<std::size_t>(flags.get_int("station", 0));
 
   ev::DatasetConfig dcfg;
@@ -60,3 +59,5 @@ int main(int argc, char** argv) {
                "(Always Charge) keep full price — no revenue is given away.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

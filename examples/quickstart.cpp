@@ -8,11 +8,10 @@
 // observation vector, read the ledger.
 #include "core/hub_config.hpp"
 #include "core/hub_env.hpp"
+#include "core/policy_runner.hpp"
 #include "policy/rule_policies.hpp"
 
 #include <iostream>
-#include <utility>
-#include <vector>
 
 int main() {
   using namespace ecthub;
@@ -30,16 +29,10 @@ int main() {
   core::EctHubEnv env(hub, env_cfg);
 
   // 3. Run one week under the greedy price-arbitrage policy.  Policies never
-  //    see the environment — they read the observation vector each step.
+  //    see the environment — run_policy hands them the observation vector
+  //    each step.
   policy::GreedyPricePolicy scheduler(env.observation_layout());
-  std::vector<double> state = env.reset();
-  scheduler.begin_episode();
-  bool done = false;
-  while (!done) {
-    rl::StepResult r = env.step(scheduler.decide(state));
-    state = std::move(r.next_state);
-    done = r.done;
-  }
+  (void)core::run_policy(env, scheduler, 1);
 
   // 4. Read the books.
   const core::ProfitLedger& ledger = env.ledger();

@@ -13,9 +13,8 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto episodes = static_cast<std::size_t>(flags.get_int("episodes", 5));
   flags.check_unknown();
 
@@ -54,3 +53,5 @@ int main(int argc, char** argv) {
                "case the paper highlights (abundant renewables, highway EV traffic).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -13,9 +13,8 @@
 #include <iostream>
 #include <memory>
 
-int main(int argc, char** argv) {
+static int run(const ecthub::CliFlags& flags) {
   using namespace ecthub;
-  const CliFlags flags(argc, argv);
   const auto train_iters = static_cast<std::size_t>(flags.get_int("train-iters", 60));
   const auto episodes = static_cast<std::size_t>(flags.get_int("episodes", 4));
   flags.check_unknown();
@@ -57,3 +56,5 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::run_cli(argc, argv, run); }

@@ -1,5 +1,8 @@
 #include "common/cli.hpp"
 
+#include "common/codec.hpp"
+
+#include <cstdio>
 #include <stdexcept>
 
 namespace ecthub {
@@ -114,6 +117,19 @@ void CliFlags::check_unknown() const {
     throw std::invalid_argument("unexpected positional argument(s): " + stray +
                                 " (flags are --name value; did you drop the --?)");
   }
+}
+
+int run_cli(int argc, const char* const* argv, int (*body)(const CliFlags& flags)) {
+  const char* program = argc > 0 ? argv[0] : "ecthub";
+  try {
+    const CliFlags flags(argc, argv);
+    return body(flags);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", program, e.what());
+  } catch (const codec::Error& e) {
+    std::fprintf(stderr, "%s: %s\n", program, e.what());
+  }
+  return 2;
 }
 
 }  // namespace ecthub

@@ -6,7 +6,8 @@
 // — called by each binary once all flags have been read — throws listing any
 // parsed flag nothing ever asked for (`--lockstep-treads 4` must not silently
 // run defaults).  The numeric accessors are strict: the whole value must
-// parse, so `--threads 4abc` fails instead of reading 4.
+// parse, so `--threads 4abc` fails instead of reading 4.  run_cli() turns
+// those errors into exit status 2 with a one-line message.
 #pragma once
 
 #include <cstdint>
@@ -53,5 +54,13 @@ class CliFlags {
   mutable std::set<std::string> consumed_;
   mutable bool positional_read_ = false;
 };
+
+/// The failure contract every CliFlags binary shares: parses argv and returns
+/// `body(flags)`.  A std::invalid_argument (malformed, unknown or badly typed
+/// flag, or a config value the library rejects) or a codec::Error (a file
+/// that is not what it claims to be) escaping either prints one line
+/// "<argv[0]>: <what>" on stderr and returns 2 instead of aborting.  Any
+/// other exit status is body's own.
+int run_cli(int argc, const char* const* argv, int (*body)(const CliFlags& flags));
 
 }  // namespace ecthub

@@ -242,28 +242,12 @@ void EctHubEnv::observe_into(std::span<double> out) const {
   out[pos] = hour_phase_[2 * slot_of_day + 1];
 }
 
-std::vector<double> EctHubEnv::reset() {
-  std::vector<double> state(state_dim());
-  reset_into(state);
-  return state;
-}
-
 void EctHubEnv::reset_into(std::span<double> state) {
   if (state.size() != state_dim()) {
     throw std::invalid_argument("EctHubEnv::reset_into: buffer size != state_dim()");
   }
   generate_episode();
   observe_into(state);
-}
-
-rl::StepResult EctHubEnv::step(std::size_t action) {
-  rl::StepResult result;
-  result.next_state.resize(state_dim());
-  const StepOutcome outcome = step_into(action, result.next_state);
-  result.reward = outcome.reward;
-  result.done = outcome.done;
-  result.truncated = outcome.truncated;
-  return result;
 }
 
 StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_state) {
@@ -273,9 +257,9 @@ StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_stat
 
 StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_state,
                                  SlotCoupling& coupling) {
-  if (!episode_ready_) throw std::logic_error("EctHubEnv::step before reset");
-  if (action >= action_count()) throw std::invalid_argument("EctHubEnv::step: bad action");
-  if (t_ >= slots_per_episode()) throw std::logic_error("EctHubEnv::step after episode end");
+  if (!episode_ready_) throw std::logic_error("EctHubEnv::step_into before reset_into");
+  if (action >= action_count()) throw std::invalid_argument("EctHubEnv::step_into: bad action");
+  if (t_ >= slots_per_episode()) throw std::logic_error("EctHubEnv::step_into after episode end");
   if (next_state.size() != state_dim()) {
     throw std::invalid_argument("EctHubEnv::step_into: buffer size != state_dim()");
   }

@@ -1,21 +1,16 @@
 #include "core/policy_runner.hpp"
 
-#include <utility>
-
 namespace ecthub::core {
 
 std::vector<double> run_policy(EctHubEnv& env, policy::Policy& pol, std::size_t episodes) {
   std::vector<double> profits;
   profits.reserve(episodes);
+  std::vector<double> state(env.state_dim());
   for (std::size_t e = 0; e < episodes; ++e) {
-    std::vector<double> state = env.reset();
+    env.reset_into(state);
     pol.begin_episode();
     bool done = false;
-    while (!done) {
-      rl::StepResult r = env.step(pol.decide(state));
-      state = std::move(r.next_state);
-      done = r.done;
-    }
+    while (!done) done = env.step_into(pol.decide(state), state).done;
     profits.push_back(env.ledger().total_profit());
   }
   return profits;

@@ -1,7 +1,7 @@
 // Rule-based battery policies: ablation baselines against ECT-DRL.
 //
 // These implement the obvious operating strategies an operator would try
-// before reaching for RL; the ablation bench (DESIGN.md Sec. 5) measures how
+// before reaching for RL; bench/bench_ablation_scheduler measures how
 // much of ECT-DRL's profit each heuristic captures.  All of them read the
 // shared observation vector (observation.hpp) — never the environment — so
 // the fleet engine drives them through the same Policy API as the DRL actor.

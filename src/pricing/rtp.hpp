@@ -40,7 +40,7 @@ class RtpGenerator {
 
   /// Allocation-free variant: writes the series into `price_out`, reusing
   /// its capacity.  Draws the identical stochastic stream as generate() —
-  /// EctHubEnv::reset uses this to regenerate episodes without touching the
+  /// EctHubEnv::reset_into uses this to regenerate episodes without touching the
   /// heap.  `price_out` must not alias `system_load`.
   void generate_into(const TimeGrid& grid, const std::vector<double>& system_load,
                      std::vector<double>& price_out);

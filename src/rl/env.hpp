@@ -13,47 +13,32 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace ecthub::rl {
 
-struct StepResult {
-  std::vector<double> next_state;
-  double reward = 0.0;
-  bool done = false;
-  bool truncated = false;  ///< done by time limit, not a terminal state
-};
-
-/// Reward / termination of one allocation-free step (Env::step_into).
+/// Reward / termination of one step (Env::step_into).
 struct StepOutcome {
   double reward = 0.0;
   bool done = false;
   bool truncated = false;  ///< done by time limit, not a terminal state
 };
 
+/// Both stepping calls write the observation into a caller-owned buffer of
+/// state_dim() doubles, so a driver holds one row per env and an episode
+/// needs no allocation of its own.
 class Env {
  public:
   virtual ~Env() = default;
 
-  /// Resets the episode and returns the initial state.
-  virtual std::vector<double> reset() = 0;
+  /// Resets the episode and writes the initial state into `state`
+  /// (size == state_dim()).
+  virtual void reset_into(std::span<double> state) = 0;
 
-  /// Applies a discrete action in [0, action_count).
-  virtual StepResult step(std::size_t action) = 0;
-
-  // ---- Allocation-free fast path ----------------------------------------
-  // The vectorized rollout collector drives lanes through these overloads
-  // with one persistent observation row per lane.  The defaults forward to
-  // reset()/step() and copy (correct for toy MDPs); EctHubEnv overrides
-  // them with its zero-allocation in-place path.
-
-  /// reset() writing the initial state into `state` (size == state_dim()).
-  virtual void reset_into(std::span<double> state);
-
-  /// step() writing the next observation into `next_state`.  On done the
-  /// buffer holds the final observation (what V(s_T) is evaluated on when
-  /// the episode was truncated).
-  virtual StepOutcome step_into(std::size_t action, std::span<double> next_state);
+  /// Applies a discrete action in [0, action_count) and writes the next
+  /// observation into `next_state`.  On done the buffer holds the final
+  /// observation (what V(s_T) is evaluated on when the episode was
+  /// truncated).
+  virtual StepOutcome step_into(std::size_t action, std::span<double> next_state) = 0;
 
   [[nodiscard]] virtual std::size_t state_dim() const = 0;
   [[nodiscard]] virtual std::size_t action_count() const = 0;

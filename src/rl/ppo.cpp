@@ -152,29 +152,4 @@ std::vector<PpoIterationStats> PpoTrainer::train_fleet(const std::vector<Env*>& 
   return history;
 }
 
-double PpoTrainer::evaluate(Env& env, std::size_t episodes) {
-  const std::vector<double> rewards = evaluate_episodes(env, episodes);
-  if (rewards.empty()) return 0.0;
-  return std::accumulate(rewards.begin(), rewards.end(), 0.0) /
-         static_cast<double>(rewards.size());
-}
-
-std::vector<double> PpoTrainer::evaluate_episodes(Env& env, std::size_t episodes) {
-  std::vector<double> rewards;
-  rewards.reserve(episodes);
-  for (std::size_t e = 0; e < episodes; ++e) {
-    std::vector<double> state = env.reset();
-    double total = 0.0;
-    bool done = false;
-    while (!done) {
-      const StepResult r = env.step(ac_.act_greedy(state));
-      total += r.reward;
-      state = r.next_state;
-      done = r.done;
-    }
-    rewards.push_back(total);
-  }
-  return rewards;
-}
-
 }  // namespace ecthub::rl

@@ -64,13 +64,6 @@ class PpoTrainer {
                                              std::size_t iterations,
                                              const VecCollectorConfig& collector = {});
 
-  /// Mean episode reward under the greedy policy over `episodes` fresh
-  /// episodes (no learning).
-  double evaluate(Env& env, std::size_t episodes);
-
-  /// Per-episode rewards under the greedy policy (for Fig. 13-style series).
-  std::vector<double> evaluate_episodes(Env& env, std::size_t episodes);
-
   [[nodiscard]] ActorCritic& policy() noexcept { return ac_; }
   [[nodiscard]] const ActorCritic& policy() const noexcept { return ac_; }
   [[nodiscard]] const PpoConfig& config() const noexcept { return cfg_; }

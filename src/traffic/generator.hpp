@@ -48,7 +48,7 @@ class TrafficGenerator {
 
   /// Allocation-free variant: writes the trace into `trace` in place,
   /// reusing its buffers' capacity.  Draws the identical stochastic stream
-  /// as generate() — EctHubEnv::reset uses this to regenerate episodes
+  /// as generate() — EctHubEnv::reset_into uses this to regenerate episodes
   /// without touching the heap.
   void generate_into(const TimeGrid& grid, TrafficTrace& trace);
 

@@ -13,8 +13,10 @@
 #include "common/time_grid.hpp"
 #include "core/hub_config.hpp"
 #include "core/hub_env.hpp"
+#include "core/policy_runner.hpp"
 #include "ev/station.hpp"
 #include "policy/drl_policy.hpp"
+#include "policy/rule_policies.hpp"
 #include "pricing/rtp.hpp"
 #include "pricing/selling.hpp"
 #include "renewables/plant.hpp"
@@ -137,6 +139,29 @@ TEST(AllocationAudit, HubResetAndFullEpisodeAllocationFreeAfterWarmup) {
   run_episode();
   EXPECT_EQ(allocations() - before, 0u)
       << "reset_into/step_into allocated on the steady-state episode path";
+}
+
+TEST(AllocationAudit, RunPolicyAllocatesOnlyItsStateBufferAndResult) {
+  // core::run_policy drives every episode through one state buffer, so after
+  // warm-up a call allocates that buffer and the returned profits and
+  // nothing per slot or per episode: the count is the same for 1 or 4
+  // episodes of 1 or 4 days.
+  const auto call_allocations = [](std::size_t days, std::size_t episodes) {
+    core::HubEnvConfig env_cfg;
+    env_cfg.episode_days = days;
+    core::EctHubEnv env(core::HubConfig::urban("alloc-run", 993), env_cfg);
+    policy::TouPolicy pol(env.observation_layout());
+    (void)core::run_policy(env, pol, 2);  // warm-up: env buffers settle
+    const std::uint64_t before = allocations();
+    const std::vector<double> profits = core::run_policy(env, pol, episodes);
+    const std::uint64_t count = allocations() - before;
+    EXPECT_EQ(profits.size(), episodes);
+    return count;
+  };
+  EXPECT_EQ(call_allocations(1, 1), 2u) << "the state buffer and the returned profits";
+  EXPECT_EQ(call_allocations(4, 1), 2u) << "allocation grows with episode length";
+  EXPECT_EQ(call_allocations(1, 4), 2u) << "allocation grows with episode count";
+  EXPECT_EQ(call_allocations(4, 4), 2u);
 }
 
 TEST(AllocationAudit, RuralHubEpisodeAlsoAllocationFree) {

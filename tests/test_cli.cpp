@@ -1,11 +1,14 @@
 // CliFlags strictness tests: the unknown-flag wall (check_unknown) and the
 // full-token numeric parsing that keeps `--threads 4abc` from silently
 // running with 4.  The basic parsing forms are covered in test_common.cpp;
-// this suite pins the fail-loud contract the bench/example binaries rely on.
+// this suite pins the fail-loud contract the bench/example binaries rely on,
+// and run_cli's mapping of those failures to exit status 2.
 #include "common/cli.hpp"
+#include "common/codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -124,6 +127,51 @@ TEST(CliFlagsStrict, BooleanSwitchValueIsNotAnInteger) {
   const char* argv[] = {"prog", "--n"};
   const CliFlags flags(2, argv);
   EXPECT_THROW((void)flags.get_int("n", 0), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- run_cli
+
+int read_level(const CliFlags& flags) {
+  const auto level = static_cast<int>(flags.get_int("level", 0));
+  flags.check_unknown();
+  return level;
+}
+
+int throw_codec_error(const CliFlags&) { throw codec::MagicError("not an ECDR checkpoint"); }
+
+int throw_runtime_error(const CliFlags&) { throw std::runtime_error("not a CLI error"); }
+
+TEST(RunCli, ReturnsTheBodysStatus) {
+  const char* argv[] = {"prog", "--level", "7"};
+  EXPECT_EQ(run_cli(3, argv, read_level), 7);
+}
+
+TEST(RunCli, UnknownFlagIsStatusTwoWithOneLine) {
+  const char* argv[] = {"prog", "--bogus", "1"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli(3, argv, read_level), 2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.rfind("prog: unrecognized flag(s): --bogus", 0), 0u) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+}
+
+TEST(RunCli, MalformedValueIsStatusTwo) {
+  const char* argv[] = {"prog", "--level", "4abc"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli(3, argv, read_level), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--level"), std::string::npos);
+}
+
+TEST(RunCli, CodecErrorIsStatusTwo) {
+  const char* argv[] = {"prog"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli(1, argv, throw_codec_error), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "prog: not an ECDR checkpoint\n");
+}
+
+TEST(RunCli, OtherExceptionsPropagate) {
+  const char* argv[] = {"prog"};
+  EXPECT_THROW((void)run_cli(1, argv, throw_runtime_error), std::runtime_error);
 }
 
 }  // namespace

@@ -15,9 +15,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace ecthub::core {
@@ -27,6 +27,20 @@ HubEnvConfig small_env(std::size_t days = 3) {
   HubEnvConfig cfg;
   cfg.episode_days = days;
   return cfg;
+}
+
+// The env steps only through caller-owned buffers (reset_into/step_into).
+// Call sites that read just the initial observation or a step's outcome go
+// through these helpers, which hand each call a fresh buffer.
+std::vector<double> reset(EctHubEnv& env) {
+  std::vector<double> state(env.state_dim());
+  env.reset_into(state);
+  return state;
+}
+
+StepOutcome step(EctHubEnv& env, std::size_t action) {
+  std::vector<double> next_state(env.state_dim());
+  return env.step_into(action, next_state);
 }
 
 // ---------------------------------------------------------------- config
@@ -108,18 +122,18 @@ TEST(Profit, LedgerTracksComponents) {
 
 TEST(EctHubEnv, ResetProducesStateOfDeclaredDim) {
   EctHubEnv env(HubConfig::urban("t", 3), small_env());
-  const auto state = env.reset();
+  const auto state = reset(env);
   EXPECT_EQ(state.size(), env.state_dim());
   EXPECT_EQ(env.action_count(), 3u);
 }
 
 TEST(EctHubEnv, EpisodeTerminatesAtHorizon) {
   EctHubEnv env(HubConfig::urban("t", 4), small_env(2));
-  env.reset();
+  reset(env);
   std::size_t steps = 0;
   bool done = false;
   while (!done) {
-    done = env.step(0).done;
+    done = step(env, 0).done;
     ++steps;
   }
   EXPECT_EQ(steps, 48u);
@@ -127,22 +141,22 @@ TEST(EctHubEnv, EpisodeTerminatesAtHorizon) {
 
 TEST(EctHubEnv, StepBeforeResetThrows) {
   EctHubEnv env(HubConfig::urban("t", 5), small_env());
-  EXPECT_THROW(env.step(0), std::logic_error);
+  EXPECT_THROW(step(env, 0), std::logic_error);
 }
 
 TEST(EctHubEnv, BadActionThrows) {
   EctHubEnv env(HubConfig::urban("t", 6), small_env());
-  env.reset();
-  EXPECT_THROW(env.step(3), std::invalid_argument);
+  reset(env);
+  EXPECT_THROW(step(env, 3), std::invalid_argument);
 }
 
 TEST(EctHubEnv, SocStaysWithinBoundsUnderRandomActions) {
   EctHubEnv env(HubConfig::rural("t", 7), small_env(5));
-  env.reset();
+  reset(env);
   Rng rng(8);
   bool done = false;
   while (!done) {
-    done = env.step(static_cast<std::size_t>(rng.uniform_int(0, 2))).done;
+    done = step(env, static_cast<std::size_t>(rng.uniform_int(0, 2))).done;
     if (!done) {
       EXPECT_GE(env.soc_frac(), env.hub().battery.soc_min_frac - 1e-9);
       EXPECT_LE(env.soc_frac(), env.hub().battery.soc_max_frac + 1e-9);
@@ -156,7 +170,7 @@ TEST(EctHubEnv, ReserveFloorCoversBlackoutWindow) {
   HubConfig hub = HubConfig::urban("t", 9);
   hub.recovery_hours = 6.0;
   EctHubEnv env(hub, small_env(4));
-  env.reset();
+  reset(env);
   const auto& bs = env.bs_power_series();
   double worst = 0.0;
   for (std::size_t t = 0; t + 6 <= bs.size(); ++t) {
@@ -174,11 +188,11 @@ TEST(EctHubEnv, UnshapedRewardMatchesLedger) {
   HubEnvConfig cfg = small_env(2);
   cfg.shaped_reward = false;
   EctHubEnv env(HubConfig::urban("t", 10), cfg);
-  env.reset();
+  reset(env);
   double acc = 0.0;
   bool done = false;
   while (!done) {
-    const auto r = env.step(1);
+    const auto r = step(env, 1);
     acc += r.reward;
     done = r.done;
   }
@@ -192,14 +206,14 @@ TEST(EctHubEnv, ShapedRewardIsProfitDeltaVsIdle) {
   HubEnvConfig cfg = small_env(2);
   EctHubEnv env_active(hub, cfg);
   EctHubEnv env_idle(hub, cfg);
-  env_active.reset();
-  env_idle.reset();
+  reset(env_active);
+  reset(env_idle);
   double shaped_acc = 0.0;
   bool done = false;
   while (!done) {
-    const auto r = env_active.step(2);  // discharge whenever possible
+    const auto r = step(env_active, 2);  // discharge whenever possible
     shaped_acc += r.reward;
-    done = env_idle.step(0).done && r.done;
+    done = step(env_idle, 0).done && r.done;
   }
   const double true_delta =
       env_active.ledger().total_profit() - env_idle.ledger().total_profit();
@@ -208,10 +222,10 @@ TEST(EctHubEnv, ShapedRewardIsProfitDeltaVsIdle) {
 
 TEST(EctHubEnv, IdleShapedRewardIsZero) {
   EctHubEnv env(HubConfig::rural("t", 1011), small_env(1));
-  env.reset();
+  reset(env);
   bool done = false;
   while (!done) {
-    const auto r = env.step(0);
+    const auto r = step(env, 0);
     EXPECT_DOUBLE_EQ(r.reward, 0.0);
     done = r.done;
   }
@@ -225,18 +239,18 @@ TEST(EctHubEnv, DiscountsIncreaseChargingRevenue) {
 
   HubEnvConfig no_disc = small_env(20);
   EctHubEnv env_a(hub, no_disc);
-  env_a.reset();
+  reset(env_a);
   bool done = false;
-  while (!done) done = env_a.step(0).done;
+  while (!done) done = step(env_a, 0).done;
   const double revenue_no = env_a.ledger().total_revenue();
 
   HubEnvConfig with_disc = small_env(20);
   with_disc.discount_by_hour.assign(24, false);
   for (std::size_t h = 18; h < 24; ++h) with_disc.discount_by_hour[h] = true;
   EctHubEnv env_b(hub, with_disc);
-  env_b.reset();
+  reset(env_b);
   done = false;
-  while (!done) done = env_b.step(0).done;
+  while (!done) done = step(env_b, 0).done;
   const double revenue_disc = env_b.ledger().total_revenue();
 
   EXPECT_GT(revenue_disc, revenue_no);
@@ -244,7 +258,7 @@ TEST(EctHubEnv, DiscountsIncreaseChargingRevenue) {
 
 TEST(EctHubEnv, StateChannelsAreNormalized) {
   EctHubEnv env(HubConfig::rural("t", 12), small_env());
-  const auto state = env.reset();
+  const auto state = reset(env);
   for (double s : state) {
     EXPECT_TRUE(std::isfinite(s));
     EXPECT_GE(s, -2.0);
@@ -292,7 +306,7 @@ TEST(EctHubEnvGolden, FixedSeedPinsEpisodeSeries) {
   HubEnvConfig cfg;
   cfg.episode_days = 3;
   EctHubEnv env(HubConfig::urban("golden", 4242), cfg);
-  env.reset();
+  reset(env);
   ASSERT_EQ(env.slots_per_episode(), 72u);
 
   double rtp_sum = 0.0;
@@ -453,7 +467,7 @@ TEST(EctHubEnvGolden, StageSeriesAndObservationsArePinnedToTheBit) {
   }
   // The coupled case must actually exercise the outage front.
   EctHubEnv fronted(HubConfig::urban("bits", 4246), coupled);
-  fronted.reset();
+  reset(fronted);
   EXPECT_NE(std::count(fronted.outage_series().begin(), fronted.outage_series().end(), 1), 0);
 }
 
@@ -463,8 +477,8 @@ TEST(EctHubEnvGolden, TwoEnvsSameSeedProduceIdenticalEpisodes) {
   const HubConfig hub = HubConfig::rural("twin", 777);
   EctHubEnv a(hub, cfg);
   EctHubEnv b(hub, cfg);
-  const auto sa = a.reset();
-  const auto sb = b.reset();
+  const auto sa = reset(a);
+  const auto sb = reset(b);
   EXPECT_EQ(sa, sb);
   for (std::size_t t = 0; t < a.slots_per_episode(); ++t) {
     ASSERT_EQ(a.rtp_at(t), b.rtp_at(t)) << "slot " << t;
@@ -481,9 +495,9 @@ TEST(EctHubEnvGolden, SuccessiveResetsDrawFreshEpisodes) {
   HubEnvConfig cfg;
   cfg.episode_days = 2;
   EctHubEnv env(HubConfig::urban("fresh", 31), cfg);
-  env.reset();
+  reset(env);
   const double first_rtp0 = env.rtp_at(0);
-  env.reset();
+  reset(env);
   EXPECT_NE(env.rtp_at(0), first_rtp0);
 }
 
@@ -498,13 +512,13 @@ TEST(EctHubEnv, EmptyDiscountScheduleMatchesAllFalse) {
   false_cfg.discount_by_hour.assign(24, false);
   EctHubEnv env_empty(hub, empty_cfg);
   EctHubEnv env_false(hub, false_cfg);
-  env_empty.reset();
-  env_false.reset();
+  reset(env_empty);
+  reset(env_false);
   for (std::size_t t = 0; t < env_empty.slots_per_episode(); ++t) {
     ASSERT_EQ(env_empty.srtp_at(t), env_false.srtp_at(t)) << "slot " << t;
   }
   EXPECT_EQ(env_empty.cs_power_series(), env_false.cs_power_series());
-  EXPECT_NO_THROW(env_empty.step(1));
+  EXPECT_NO_THROW(step(env_empty, 1));
 }
 
 TEST(EctHubEnv, PoliciesRunOnEmptyDiscountEnv) {
@@ -572,40 +586,13 @@ TEST(EctHubEnv, NegativeRecoveryHoursThrowsAtConstruction) {
 
 TEST(EctHubEnv, StepPastEpisodeEndThrows) {
   EctHubEnv env(HubConfig::urban("overrun", 59), small_env(1));
-  env.reset();
+  reset(env);
   bool done = false;
-  while (!done) done = env.step(0).done;
-  EXPECT_THROW(env.step(0), std::logic_error);
+  while (!done) done = step(env, 0).done;
+  EXPECT_THROW(step(env, 0), std::logic_error);
   // A reset re-arms the episode.
-  env.reset();
-  EXPECT_NO_THROW(env.step(0));
-}
-
-TEST(EctHubEnv, IntoOverloadsAreBitIdenticalToAllocatingPath) {
-  // Two identically-seeded envs: one driven through reset()/step(), the
-  // other through the allocation-free reset_into()/step_into() fast path.
-  // Observations, rewards and ledger totals must match to the last bit.
-  EctHubEnv alloc_env(HubConfig::urban("into-a", 61), small_env(2));
-  EctHubEnv into_env(HubConfig::urban("into-a", 61), small_env(2));
-
-  std::vector<double> alloc_state = alloc_env.reset();
-  std::vector<double> into_state(into_env.state_dim());
-  into_env.reset_into(into_state);
-  ASSERT_EQ(into_state, alloc_state);
-
-  bool done = false;
-  std::size_t t = 0;
-  while (!done) {
-    const std::size_t action = t++ % 3;
-    rl::StepResult sr = alloc_env.step(action);
-    const StepOutcome out = into_env.step_into(action, into_state);
-    EXPECT_EQ(out.reward, sr.reward);
-    EXPECT_EQ(out.done, sr.done);
-    EXPECT_EQ(into_state, sr.next_state);
-    done = sr.done;
-  }
-  EXPECT_EQ(into_env.ledger().total_profit(), alloc_env.ledger().total_profit());
-  EXPECT_EQ(into_env.ledger().total_revenue(), alloc_env.ledger().total_revenue());
+  reset(env);
+  EXPECT_NO_THROW(step(env, 0));
 }
 
 TEST(EctHubEnv, IntoOverloadsValidateBufferSize) {
@@ -622,7 +609,7 @@ TEST(EctHubEnv, IntoOverloadsValidateBufferSize) {
 
 TEST(EctHubEnv, ObserveIntoMatchesResetObservation) {
   EctHubEnv env(HubConfig::urban("into-c", 63), small_env(1));
-  const std::vector<double> from_reset = env.reset();
+  const std::vector<double> from_reset = reset(env);
   std::vector<double> observed(env.state_dim());
   env.observe_into(observed);
   EXPECT_EQ(observed, from_reset);
@@ -649,18 +636,19 @@ TEST(Profit, LedgerResetClearsTotalsAndDays) {
 //
 // The rule-based policies read the shared observation vector, never the env:
 // these tests drive them exactly the way run_policy / the fleet engine does,
-// tracking the state returned by reset()/step().
+// through one state buffer that reset_into()/step_into() write.
 
 TEST(Policies, NoBatteryAlwaysIdles) {
   EctHubEnv env(HubConfig::urban("t", 14), small_env());
-  const std::vector<double> state = env.reset();
+  const std::vector<double> state = reset(env);
   policy::NoBatteryPolicy pol;
   EXPECT_EQ(pol.decide(state), 0u);
 }
 
 TEST(Policies, TouChargesOffPeakDischargesPeak) {
   EctHubEnv env(HubConfig::urban("t", 15), small_env());
-  std::vector<double> state = env.reset();
+  std::vector<double> state(env.state_dim());
+  env.reset_into(state);
   policy::TouPolicy pol(env.observation_layout());
   // Walk the first day and collect decisions by hour.
   std::vector<std::size_t> by_hour(24, 99);
@@ -668,9 +656,7 @@ TEST(Policies, TouChargesOffPeakDischargesPeak) {
   while (!done && env.current_slot() < 24) {
     const auto hour = static_cast<std::size_t>(env.hour_of_day(env.current_slot()));
     by_hour[hour] = pol.decide(state);
-    rl::StepResult r = env.step(0);
-    state = std::move(r.next_state);
-    done = r.done;
+    done = env.step_into(0, state).done;
   }
   EXPECT_EQ(by_hour[2], 1u);   // off-peak charge
   EXPECT_EQ(by_hour[18], 2u);  // peak discharge
@@ -698,7 +684,8 @@ TEST(Policies, ForecastChargesCheapHoursDischargesExpensive) {
   // Walk several days so the seasonal price curve is learned, then check the
   // decisions: early-morning trough hours should charge, evening peak hours
   // should discharge.
-  std::vector<double> state = env.reset();
+  std::vector<double> state(env.state_dim());
+  env.reset_into(state);
   pol.begin_episode();
   std::vector<std::size_t> last_day_decision(24, 99);
   bool done = false;
@@ -707,9 +694,7 @@ TEST(Policies, ForecastChargesCheapHoursDischargesExpensive) {
     const auto hour = static_cast<std::size_t>(env.hour_of_day(t));
     const std::size_t a = pol.decide(state);
     if (t >= 9 * 24) last_day_decision[hour] = a;
-    rl::StepResult r = env.step(a);
-    state = std::move(r.next_state);
-    done = r.done;
+    done = env.step_into(a, state).done;
   }
   EXPECT_EQ(last_day_decision[3], 1u);   // night trough: charge
   EXPECT_EQ(last_day_decision[20], 2u);  // evening peak: discharge
@@ -732,7 +717,7 @@ TEST(Policies, ForecastRejectsBadBands) {
 
 TEST(Policies, RandomIsDeterministicPerSeed) {
   EctHubEnv env(HubConfig::urban("t", 17), small_env());
-  const std::vector<double> state = env.reset();
+  const std::vector<double> state = reset(env);
   policy::RandomPolicy a(5), b(5);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(a.decide(state), b.decide(state));
 }
@@ -743,6 +728,86 @@ TEST(Policies, RunPolicyReturnsPerEpisodeProfits) {
   const auto profits = run_policy(env, pol, 3);
   EXPECT_EQ(profits.size(), 3u);
   for (double p : profits) EXPECT_TRUE(std::isfinite(p));
+}
+
+// ------------------------------------------------- run_policy (golden)
+
+// run_policy pinned to the bit: for every rule policy on an urban and a rural
+// hub (3 episodes of 8 days with an hourly discount window), the FNV
+// fingerprint of the per-episode profits and of the last episode's ledger
+// daily profits.  The examples print profits to two decimals, so only this
+// table catches a one-ULP drift in the policy loop.  On a deliberate change
+// the failure prints the new pair.
+std::unique_ptr<policy::Policy> make_rule_policy(const std::string& name,
+                                                 const policy::ObservationLayout& layout) {
+  if (name == "NoBattery") return std::make_unique<policy::NoBatteryPolicy>();
+  if (name == "TOU") return std::make_unique<policy::TouPolicy>(layout);
+  if (name == "GreedyPrice") return std::make_unique<policy::GreedyPricePolicy>(layout);
+  if (name == "Forecast") return std::make_unique<policy::ForecastPolicy>(layout);
+  return std::make_unique<policy::RandomPolicy>(31);
+}
+
+std::string hex_pair(std::uint64_t a, std::uint64_t b) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL, 0x%016llxULL", static_cast<unsigned long long>(a),
+                static_cast<unsigned long long>(b));
+  return buf;
+}
+
+TEST(RunPolicyGolden, RulePoliciesArePinnedToTheBit) {
+  struct Case {
+    const char* hub;
+    const char* policy;
+    std::uint64_t profits, daily;
+  };
+  const Case cases[] = {
+      {"urban-24", "NoBattery", 0xe71e3d7db93f8607ULL, 0xa87dc13ffa641fafULL},
+      {"urban-24", "TOU", 0xeffaeb71f3107a79ULL, 0x5eea991e8854034dULL},
+      {"urban-24", "GreedyPrice", 0x0a78ce0827c3df59ULL, 0xf562d2a89f17856bULL},
+      {"urban-24", "Forecast", 0x08e926114ed83d3aULL, 0xaba9e528cacb347dULL},
+      {"urban-24", "Random", 0xc8ebf4a11bc32945ULL, 0x61fa27f832077b81ULL},
+      {"rural-24", "NoBattery", 0xfe27d39bf4b1296bULL, 0x069da3b8c25df5c0ULL},
+      {"rural-24", "TOU", 0x0f0a28185408311eULL, 0x5a3130c5a3b1bf7dULL},
+      {"rural-24", "GreedyPrice", 0x04cb123e895e4f5bULL, 0xb58584268e3227e5ULL},
+      {"rural-24", "Forecast", 0x11a6b80fb5100723ULL, 0x0aa52f1c50cfee53ULL},
+      {"rural-24", "Random", 0x7fc6d7fc9331ac94ULL, 0xd94923fac32b790fULL},
+  };
+  HubEnvConfig cfg;
+  cfg.episode_days = 8;
+  cfg.discount_by_hour.assign(24, false);
+  for (std::size_t h = 10; h < 16; ++h) cfg.discount_by_hour[h] = true;
+  for (const Case& c : cases) {
+    const bool urban = std::string(c.hub) == "urban-24";
+    EctHubEnv env(urban ? HubConfig::urban("run", 5150) : HubConfig::rural("run", 5151), cfg);
+    const auto pol = make_rule_policy(c.policy, env.observation_layout());
+    const std::vector<double> profits = run_policy(env, *pol, 3);
+    ASSERT_EQ(profits.size(), 3u);
+    const std::uint64_t got_profits = bit_fingerprint(profits);
+    const std::uint64_t got_daily = bit_fingerprint(env.ledger().daily_profit());
+    EXPECT_EQ(got_profits, c.profits) << c.hub << " " << c.policy << " now fingerprints as "
+                                      << hex_pair(got_profits, got_daily);
+    EXPECT_EQ(got_daily, c.daily) << c.hub << " " << c.policy << " now fingerprints as "
+                                  << hex_pair(got_profits, got_daily);
+  }
+}
+
+TEST(RunPolicyGolden, ReducedHubExperimentIsPinnedToTheBit) {
+  // run_hub_experiment tests the deployed actor through run_policy; a
+  // reduced Table III cell pins that path end to end.
+  DrlExperimentConfig cfg;
+  cfg.train.env.episode_days = 2;
+  cfg.train.ppo.episodes_per_iteration = 1;
+  cfg.train.iterations = 2;
+  cfg.train.train_hubs = 2;
+  cfg.test_episodes = 3;
+  std::vector<bool> discount(24, false);
+  for (std::size_t h = 18; h < 24; ++h) discount[h] = true;
+  const HubMethodResult result =
+      run_hub_experiment(HubConfig::urban("pinned", 5152), discount, cfg, "Pinned");
+  const std::uint64_t avg_bits = std::bit_cast<std::uint64_t>(result.avg_daily_reward);
+  const std::uint64_t daily = bit_fingerprint(result.daily_rewards);
+  EXPECT_EQ(avg_bits, 0x4010880ee9eaeb65ULL) << "now " << hex_pair(avg_bits, daily);
+  EXPECT_EQ(daily, 0xb69dbee75d317f4dULL) << "now " << hex_pair(avg_bits, daily);
 }
 
 // ---------------------------------------------------------------- fleet
@@ -822,17 +887,18 @@ TEST(EctHubEnv, HorizonEndIsTruncatedWithRealObservation) {
   // flag truncated alongside done and hand back a real (finite, in-range)
   // final observation for the critic bootstrap — not a zeroed buffer.
   EctHubEnv env(HubConfig::urban("trunc", 64), small_env(1));
-  env.reset();
-  rl::StepResult last;
+  std::vector<double> final_state(env.state_dim());
+  env.reset_into(final_state);
+  StepOutcome last;
   bool done = false;
   while (!done) {
-    last = env.step(1);
+    last = env.step_into(1, final_state);
     done = last.done;
   }
   EXPECT_TRUE(last.truncated);
-  ASSERT_EQ(last.next_state.size(), env.state_dim());
+  ASSERT_EQ(final_state.size(), env.state_dim());
   double magnitude = 0.0;
-  for (const double x : last.next_state) {
+  for (const double x : final_state) {
     EXPECT_TRUE(std::isfinite(x));
     magnitude += std::abs(x);
   }
@@ -841,8 +907,8 @@ TEST(EctHubEnv, HorizonEndIsTruncatedWithRealObservation) {
 
 TEST(EctHubEnv, MidEpisodeStepsAreNotTruncated) {
   EctHubEnv env(HubConfig::urban("trunc2", 65), small_env(1));
-  env.reset();
-  const rl::StepResult first = env.step(0);
+  reset(env);
+  const StepOutcome first = step(env, 0);
   EXPECT_FALSE(first.done);
   EXPECT_FALSE(first.truncated);
 }

@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace ecthub::rl {
 namespace {
@@ -23,27 +24,55 @@ namespace {
 // drive the policy toward always picking action 1.
 class ToyEnv : public Env {
  public:
-  std::vector<double> reset() override {
+  void reset_into(std::span<double> state) override {
     t_ = 0;
-    return state();
+    observe(state);
   }
-  StepResult step(std::size_t action) override {
-    StepResult r;
+  StepOutcome step_into(std::size_t action, std::span<double> next_state) override {
+    StepOutcome r;
     r.reward = action == 1 ? 1.0 : 0.0;
     ++t_;
     r.done = t_ >= 8;
-    r.next_state = state();
+    observe(next_state);
     return r;
   }
   std::size_t state_dim() const override { return 3; }
   std::size_t action_count() const override { return 3; }
 
  private:
-  std::vector<double> state() const {
-    return {static_cast<double>(t_) / 8.0, 1.0, 0.5};
+  void observe(std::span<double> out) const {
+    out[0] = static_cast<double>(t_) / 8.0;
+    out[1] = 1.0;
+    out[2] = 0.5;
   }
   std::size_t t_ = 0;
 };
+
+// Per-episode reward of the trained actor's greedy policy over `episodes`
+// fresh episodes of `env` (no learning).
+std::vector<double> greedy_episode_rewards(ActorCritic& ac, Env& env, std::size_t episodes) {
+  std::vector<double> rewards;
+  std::vector<double> state(env.state_dim());
+  for (std::size_t e = 0; e < episodes; ++e) {
+    env.reset_into(state);
+    double total = 0.0;
+    bool done = false;
+    while (!done) {
+      const StepOutcome r = env.step_into(ac.act_greedy(state), state);
+      total += r.reward;
+      done = r.done;
+    }
+    rewards.push_back(total);
+  }
+  return rewards;
+}
+
+double mean_greedy_reward(ActorCritic& ac, Env& env, std::size_t episodes) {
+  const std::vector<double> rewards = greedy_episode_rewards(ac, env, episodes);
+  double sum = 0.0;
+  for (const double r : rewards) sum += r;
+  return sum / static_cast<double>(rewards.size());
+}
 
 ActorCriticConfig small_ac() {
   ActorCriticConfig cfg;
@@ -260,14 +289,14 @@ TEST(Ppo, LearnsToyBandit) {
   ToyEnv env;
   trainer.train_fleet({&env}, 25);
   // Greedy policy should now collect near-maximal reward (8 per episode).
-  const double reward = trainer.evaluate(env, 5);
+  const double reward = mean_greedy_reward(trainer.policy(), env, 5);
   EXPECT_GT(reward, 7.0);
 }
 
 TEST(Ppo, EvaluateEpisodesReturnsPerEpisode) {
   PpoTrainer trainer(PpoConfig{}, small_ac(), nn::Rng(10));
   ToyEnv env;
-  const auto rewards = trainer.evaluate_episodes(env, 3);
+  const auto rewards = greedy_episode_rewards(trainer.policy(), env, 3);
   EXPECT_EQ(rewards.size(), 3u);
 }
 
@@ -528,8 +557,8 @@ TEST(RolloutBuffer, TruncatedVersusTerminalDiffer) {
 // truncated; ToyTruncEnv mirrors that so the bootstrap path is exercised.
 class ToyTruncEnv final : public ToyEnv {
  public:
-  StepResult step(std::size_t action) override {
-    StepResult r = ToyEnv::step(action);
+  StepOutcome step_into(std::size_t action, std::span<double> next_state) override {
+    StepOutcome r = ToyEnv::step_into(action, next_state);
     r.truncated = r.done;
     return r;
   }
@@ -703,7 +732,7 @@ TEST(VecCollector, TrainFleetLearnsToyBandit) {
   collector.threads = 2;
   trainer.train_fleet(as_ptrs(lanes), 15, collector);
   ToyEnv env;
-  EXPECT_GT(trainer.evaluate(env, 5), 7.0);
+  EXPECT_GT(mean_greedy_reward(trainer.policy(), env, 5), 7.0);
 }
 
 }  // namespace
