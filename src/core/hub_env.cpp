@@ -206,34 +206,52 @@ void EctHubEnv::generate_episode() {
     pack_->set_reserve_floor_kwh(floor_kwh);
   }
 
+  scale_channels();
   ledger_.reset();
   t_ = 0;
   episode_ready_ = true;
 }
 
+void EctHubEnv::scale_channels() {
+  // Channel c occupies [c * stride, (c + 1) * stride): lookback - 1 copies
+  // of slot 0 (the episode-start pad), the n scaled slots, then one copy of
+  // the last slot (the horizon clamp of the final observation).  Window
+  // position j of slot t therefore reads slot clamp(t - (lookback-1) + j).
+  const std::size_t n = slots_per_episode();
+  const std::size_t pad = cfg_.lookback - 1;
+  const std::size_t stride = n + cfg_.lookback;
+  obs_channels_.resize(ObservationLayout::kChannels * stride);
+  std::size_t c = 0;
+  const auto fill = [&](const std::vector<double>& series, double scale) {
+    double* p = obs_channels_.data() + (c++ * stride);
+    std::fill_n(p, pad, series.front() / scale);
+    for (std::size_t t = 0; t < n; ++t) p[pad + t] = series[t] / scale;
+    p[pad + n] = series.back() / scale;
+  };
+  // Channel order and scales are the ObservationLayout contract; policies
+  // decode through the same struct.
+  fill(rtp_, ObservationLayout::kPriceScale);
+  fill(wx_.ghi_wm2, ObservationLayout::kGhiScale);
+  fill(wx_.wind_speed_ms, ObservationLayout::kWindScale);
+  fill(traffic_.load_rate, 1.0);
+  fill(srtp_, ObservationLayout::kPriceScale);
+}
+
 void EctHubEnv::observe_into(std::span<double> out) const {
-  // Channel order, window ordering (oldest -> newest) and scales are the
-  // ObservationLayout contract; policies decode through the same struct.
   if (!episode_ready_) throw std::logic_error("EctHubEnv::observe_into before reset");
   if (out.size() != state_dim()) {
     throw std::invalid_argument("EctHubEnv::observe_into: buffer size != state_dim()");
   }
+  // Each window is one contiguous run of its padded channel buffer (see
+  // scale_channels): slots t-lookback+1 .. t, start-padded and clamped at
+  // the horizon by construction.
+  const std::size_t lookback = cfg_.lookback;
+  const std::size_t stride = slots_per_episode() + lookback;
   std::size_t pos = 0;
-  const auto window = [&](const std::vector<double>& series, double scale) {
-    for (std::size_t k = cfg_.lookback; k-- > 0;) {
-      // Slots t-k .. t; pad the episode start with the first value.  At the
-      // horizon (t_ == size, the final observation emitted by the last
-      // step) the window holds the last generated slot — a no-op clamp for
-      // every in-episode slot.
-      const std::size_t idx = std::min(t_ >= k ? t_ - k : 0, series.size() - 1);
-      out[pos++] = series[idx] / scale;
-    }
-  };
-  window(rtp_, ObservationLayout::kPriceScale);
-  window(wx_.ghi_wm2, ObservationLayout::kGhiScale);
-  window(wx_.wind_speed_ms, ObservationLayout::kWindScale);
-  window(traffic_.load_rate, 1.0);
-  window(srtp_, ObservationLayout::kPriceScale);
+  for (std::size_t c = 0; c < ObservationLayout::kChannels; ++c, pos += lookback) {
+    std::copy_n(obs_channels_.begin() + static_cast<std::ptrdiff_t>(c * stride + t_), lookback,
+                out.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
   out[pos++] = pack_->soc_frac();
   // Wrapping by hand keeps the final observation (t_ == size) on the same
   // 24 h phase.

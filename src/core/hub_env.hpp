@@ -171,6 +171,8 @@ class EctHubEnv final : public rl::Env {
  private:
   [[nodiscard]] static HubEnvConfig validated(HubEnvConfig cfg);
   void generate_episode();
+  /// Rebuilds obs_channels_ from the episode series (end of each reset).
+  void scale_channels();
 
   HubConfig hub_;
   HubEnvConfig cfg_;
@@ -194,6 +196,10 @@ class EctHubEnv final : public rl::Env {
   std::vector<bool> discounted_;  ///< per-slot discount flags; built once
   std::vector<double> through_kw_;    ///< coupled: through-traffic demand
   std::vector<std::uint8_t> outage_;  ///< coupled: front outage flags
+  /// The five observation channels of the episode, each divided by its
+  /// ObservationLayout scale once per reset and padded so that every
+  /// lookback window is one contiguous copy (see scale_channels).
+  std::vector<double> obs_channels_;
   /// Observation phase per slot of day: sin, cos of the hour angle.
   std::vector<double> hour_phase_;
 

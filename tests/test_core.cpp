@@ -220,6 +220,46 @@ TEST(EctHubEnv, ShapedRewardIsProfitDeltaVsIdle) {
   EXPECT_NEAR(shaped_acc, true_delta, 1e-9);
 }
 
+TEST(EctHubEnv, ObservationWindowsReadTheScaledSeriesAtEverySlot) {
+  // Every window of every observation, the final one included, equals the
+  // episode series divided by its channel scale, start-padded with slot 0
+  // and clamped to the last slot — also when the lookback outruns the
+  // whole episode.
+  for (const auto& [slots_per_day, lookback] :
+       {std::pair<std::size_t, std::size_t>{24, 6}, {5, 8}}) {
+    HubEnvConfig cfg = small_env(1);
+    cfg.slots_per_day = slots_per_day;
+    cfg.lookback = lookback;
+    EctHubEnv env(HubConfig::rural("win", 17), cfg);
+    std::vector<double> obs(env.state_dim());
+    env.reset_into(obs);
+    const std::size_t n = env.slots_per_episode();
+    std::vector<double> rtp(n), srtp(n);
+    for (std::size_t t = 0; t < n; ++t) {
+      rtp[t] = env.rtp_at(t);
+      srtp[t] = env.srtp_at(t);
+    }
+    const std::pair<const std::vector<double>*, double> channels[] = {
+        {&rtp, policy::ObservationLayout::kPriceScale},
+        {&env.weather_series().ghi_wm2, policy::ObservationLayout::kGhiScale},
+        {&env.weather_series().wind_speed_ms, policy::ObservationLayout::kWindScale},
+        {&env.traffic_trace().load_rate, 1.0},
+        {&srtp, policy::ObservationLayout::kPriceScale}};
+    for (std::size_t t = 0; t <= n; ++t) {
+      for (std::size_t c = 0; c < std::size(channels); ++c) {
+        const auto& [series, scale] = channels[c];
+        for (std::size_t j = 0; j < lookback; ++j) {
+          const std::size_t k = lookback - 1 - j;  // slots back from t
+          const std::size_t idx = std::min(t >= k ? t - k : 0, n - 1);
+          ASSERT_EQ(obs[c * lookback + j], (*series)[idx] / scale)
+              << "slot " << t << " channel " << c << " position " << j;
+        }
+      }
+      if (t < n) env.step_into(t % 3, obs);
+    }
+  }
+}
+
 TEST(EctHubEnv, IdleShapedRewardIsZero) {
   EctHubEnv env(HubConfig::rural("t", 1011), small_env(1));
   reset(env);
