@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace {
@@ -25,6 +26,20 @@ void BM_RngNormal(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0.0, 1.0));
 }
 BENCHMARK(BM_RngNormal);
+
+// The episode generators' bulk ziggurat; one iteration fills a 30-day
+// hourly series (720 draws), so ns per draw is the time over 720.
+void BM_RngNormals(benchmark::State& state) {
+  Rng rng(2);
+  std::vector<double> out(720);
+  for (auto _ : state) {
+    rng.normals(out, 0.0, 1.0);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_RngNormals);
 
 // A fork draws one word and seeds a fresh 312-word engine from it.
 void BM_RngFork(benchmark::State& state) {

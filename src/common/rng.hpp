@@ -15,13 +15,28 @@
 // uniform_int, poisson and shuffle keep libstdc++'s std:: algorithms, run
 // over Mt19937_64; their values depend only on the engine's words and on
 // those algorithms.
+//
+// Episode noise contract.  Rng::normals fills a whole series in one call
+// with a 256-layer ziggurat (Marsaglia & Tsang 2000, detail::normals below)
+// over the same Mt19937_64 words: one word gives the layer (bits 0-7), the
+// sign (bit 8) and a 53-bit uniform (bits 11-63); the tables are checked-in
+// literals, and libm is called only in the wedge (exp) and the tail (log),
+// on ~1.5% of draws.  Its values are not those of normal(): the episode
+// generators (traffic, wind, temperature, solar transmittance and RTP)
+// draw their noise through normals() and so define episode series under
+// this contract, while every point draw (nn initialisation, the EV
+// dataset, spatial placement, ...) stays on normal() and the libstdc++
+// contract above.  normals() keeps no state between calls, so one call of
+// n draws equals any split of it into consecutive calls.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <bit>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -128,6 +143,63 @@ inline double weibull(G& g, double shape, double scale) {
   return scale * std::pow(-std::log(1.0 - canonical(g)), 1.0 / shape);
 }
 
+/// Ziggurat tables of normals() for the half-normal density
+/// f(x) = exp(-x^2 / 2), 256 layers of area kZigV each.  kZigX[i] is the
+/// right edge of layer i, decreasing from kZigX[0] = kZigV / f(kZigR) (the
+/// base strip's width including its tail) through kZigX[1] = kZigR to
+/// kZigX[256] = 0, and kZigF[i] = f(kZigX[i]).  Layers 1..255 satisfy
+/// kZigX[i] * (kZigF[i + 1] - kZigF[i]) = kZigV; the base strip satisfies
+/// kZigR * f(kZigR) + (tail area beyond kZigR) = kZigV.  Literals in rng.cpp.
+inline constexpr std::size_t kZigLayers = 256;
+inline constexpr double kZigR = 0x1.d3bb48209ad33p+1;  // 3.6541528853610088
+inline constexpr double kZigV = 0x1.43016a5a43732p-8;  // 0.0049286732339746552
+extern const std::array<double, kZigLayers + 1> kZigX;
+extern const std::array<double, kZigLayers + 1> kZigF;
+
+/// Uniform in (0, 1) from the top 52 bits of a word; never 0, so its log is
+/// finite.
+inline double open_unit(std::uint64_t w) {
+  return (static_cast<double>(static_cast<std::int64_t>(w >> 12)) + 0.5) * 0x1p-52;
+}
+
+/// One standard normal by the ziggurat.  The fast path (x inside its
+/// layer's core rectangle, ~98.5% of draws) takes one word and no libm call.
+template <FullRange64 G>
+inline double ziggurat(G& g) {
+  for (;;) {
+    const std::uint64_t w = g();
+    const std::size_t layer = w & 0xffU;
+    const std::uint64_t sign = (w & 0x100U) << 55;  // bit 8 -> the sign bit
+    const double u = static_cast<double>(static_cast<std::int64_t>(w >> 11)) * 0x1p-53;
+    double x = u * kZigX[layer];
+    if (x < kZigX[layer + 1]) return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) | sign);
+    if (layer == 0) {
+      // Base strip beyond kZigR: Marsaglia's (1964) exact tail sampler.
+      double t = 0.0;
+      double e = 0.0;
+      do {
+        t = -std::log(open_unit(g())) / kZigR;
+        e = -std::log(open_unit(g()));
+      } while (e + e < t * t);
+      x = kZigR + t;
+      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) | sign);
+    }
+    // Wedge: a uniform height in the layer, accepted under the density.
+    const double unit = static_cast<double>(static_cast<std::int64_t>(g() >> 11)) * 0x1p-53;
+    const double y = kZigF[layer] + (kZigF[layer + 1] - kZigF[layer]) * unit;
+    if (y < std::exp(-0.5 * x * x)) {
+      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) | sign);
+    }
+  }
+}
+
+/// Fills `out` with independent normal(mean, stddev) draws by the
+/// ziggurat, in index order: out[k] = z_k * stddev + mean.
+template <FullRange64 G>
+inline void normals(G& g, std::span<double> out, double mean, double stddev) {
+  for (double& v : out) v = ziggurat(g) * stddev + mean;
+}
+
 }  // namespace detail
 
 /// Mt19937_64 with the distributions used across the codebase.  Copyable
@@ -146,6 +218,11 @@ class Rng {
   double normal(double mean = 0.0, double stddev = 1.0) {
     return detail::normal(engine_, mean, stddev);
   }
+
+  /// Fills `out` with Gaussian draws in one call: the ziggurat of the
+  /// episode noise contract (file comment), not normal()'s polar values.
+  /// Splitting one call into consecutive calls yields the same values.
+  void normals(std::span<double> out, double mean = 0.0, double stddev = 1.0);
 
   /// Bernoulli draw; p <= 0 and p >= 1 decide without drawing.
   bool bernoulli(double p) {

@@ -67,6 +67,21 @@ class TimeGrid {
     for (std::size_t t = slots_per_day_; t < out.size(); ++t) out[t] = out[t - slots_per_day_];
   }
 
+  /// The shape pass of a generator whose noise pass ran first: sets
+  /// `out[t] = combine(shape(hour_of_day(t)), out[t])` for every slot,
+  /// evaluating the shape once per slot of day like fill_by_slot_of_day.
+  /// out.size() must equal size().
+  template <typename Shape, typename Combine>
+  void combine_by_slot_of_day(std::span<double> out, Shape&& shape, Combine&& combine) const {
+    if (out.size() != size()) {
+      throw std::invalid_argument("TimeGrid::combine_by_slot_of_day: out.size() != size()");
+    }
+    for (std::size_t s = 0; s < slots_per_day_; ++s) {
+      const double value = shape(hour_of_day(s));
+      for (std::size_t t = s; t < out.size(); t += slots_per_day_) out[t] = combine(value, out[t]);
+    }
+  }
+
   friend bool operator==(const TimeGrid& a, const TimeGrid& b) noexcept {
     return a.num_days_ == b.num_days_ && a.slots_per_day_ == b.slots_per_day_;
   }

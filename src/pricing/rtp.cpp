@@ -62,15 +62,21 @@ void RtpGenerator::generate_into(const TimeGrid& grid, const std::vector<double>
     throw std::invalid_argument("RtpGenerator: system_load length must match grid");
   }
   price_out.resize(grid.size());
-  // Shape pass: the deterministic daily curve, written into the output.
-  grid.fill_by_slot_of_day(price_out, [this](double hour) {
-    return cfg_.base_price + diurnal_component(hour);
-  });
-  // Noise pass: AR(1) noise, load coupling and spikes on top of the curve.
+  // Noise pass: the AR(1) innovations in one call, then the AR(1) state in
+  // place.
+  rng_.normals(price_out, 0.0, cfg_.noise_sigma);
   double ar = 0.0;
+  for (double& price : price_out) {
+    ar = cfg_.noise_persistence * ar + price;
+    price = ar;
+  }
+  // Shape pass: the deterministic daily curve under the AR(1) noise.
+  grid.combine_by_slot_of_day(
+      price_out, [this](double hour) { return cfg_.base_price + diurnal_component(hour); },
+      [](double curve, double noise) { return curve + noise; });
+  // Load coupling and spikes on top, in slot order.
   for (std::size_t t = 0; t < grid.size(); ++t) {
-    ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
-    double p = price_out[t] + ar;
+    double p = price_out[t];
     if (!system_load.empty()) p += cfg_.load_coupling * system_load[t];
     if (rng_.bernoulli(cfg_.spike_prob)) p += rng_.exponential(1.0 / cfg_.spike_scale);
     price_out[t] = std::max(p, cfg_.floor_price);

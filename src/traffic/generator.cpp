@@ -43,15 +43,19 @@ void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) 
   std::vector<double>& load = trace.load_rate;
   grid.fill_by_slot_of_day(load, [&](double hour) { return profile.at_hour(hour); });
 
-  // Noise pass over the envelope, in slot order.
+  // Noise pass over the envelope, in slot order.  The AR(1) innovations
+  // are drawn in one call into the volume buffer, which each slot reads
+  // before it writes its volume.
+  std::vector<double>& volume = trace.volume_gb;
+  rng_.normals(volume, 0.0, cfg_.noise_sigma);
   double ar = 0.0;  // AR(1) log-multiplier state
   for (std::size_t d = 0; d < grid.num_days(); ++d) {
     const std::size_t first = grid.day_start(d);
     const double weekend = grid.is_weekend(first) ? cfg_.weekend_factor : 1.0;
     for (std::size_t t = first; t < first + grid.slots_per_day(); ++t) {
-      ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
+      ar = cfg_.noise_persistence * ar + volume[t];
       load[t] = std::clamp(load[t] * weekend * std::exp(ar), cfg_.min_load, 1.0);
-      trace.volume_gb[t] = load[t] * cfg_.peak_volume_gb;
+      volume[t] = load[t] * cfg_.peak_volume_gb;
     }
   }
 }

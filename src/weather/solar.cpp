@@ -61,19 +61,22 @@ std::vector<double> SolarModel::generate(const TimeGrid& grid) {
 void SolarModel::generate_into(const TimeGrid& grid, std::vector<double>& out_ghi) {
   out_ghi.resize(grid.size());
   bool cloudy = rng_.bernoulli(0.5);
+  // One standard normal per slot, drawn in one call into the output; each
+  // slot reads its own before it writes its GHI.
+  rng_.normals(out_ghi);
   for (std::size_t d = 0; d < grid.num_days(); ++d) {
     const ClearSkyDay day = clear_sky_day(cfg_, (cfg_.start_day_of_year + d) % 365);
     const std::size_t first = grid.day_start(d);
     for (std::size_t t = first; t < first + grid.slots_per_day(); ++t) {
       if (rng_.bernoulli(cfg_.cloud_switch_prob)) cloudy = !cloudy;
       const double clear = clear_sky_ghi(day, grid.hour_of_day(t));
+      const double z = out_ghi[t];
       double trans = 1.0;
       if (cloudy) {
-        trans = std::clamp(
-            cfg_.cloudy_transmittance + rng_.normal(0.0, cfg_.transmittance_sigma), 0.05, 1.0);
+        trans = std::clamp(cfg_.cloudy_transmittance + z * cfg_.transmittance_sigma, 0.05, 1.0);
       } else {
         // Even "clear" slots see small high-cirrus variation.
-        trans = std::clamp(1.0 - std::abs(rng_.normal(0.0, 0.03)), 0.8, 1.0);
+        trans = std::clamp(1.0 - std::abs(z * 0.03), 0.8, 1.0);
       }
       out_ghi[t] = clear * trans;
     }

@@ -38,15 +38,18 @@ void WeatherGenerator::generate_into(const TimeGrid& grid, WeatherSeries& series
   solar.generate_into(grid, series.ghi_wm2);
   wind.generate_into(grid, series.wind_speed_ms);
   series.temperature_c.resize(grid.size());
-  // Shape pass: mean plus the diurnal swing.  Temperature lags solar noon by
-  // ~2h; peak mid-afternoon.
-  grid.fill_by_slot_of_day(series.temperature_c, [this](double hour) {
-    return cfg_.mean_temperature_c +
-           0.5 * cfg_.diurnal_temp_swing_c * std::sin(2.0 * std::numbers::pi * (hour - 8.0) / 24.0);
-  });
-  // Noise pass.
+  // Noise pass in one call.
   Rng temp_rng = rng_.fork();
-  for (double& temp : series.temperature_c) temp += temp_rng.normal(0.0, cfg_.temp_noise_sigma);
+  temp_rng.normals(series.temperature_c, 0.0, cfg_.temp_noise_sigma);
+  // Shape pass: mean plus the diurnal swing, under the noise.  Temperature
+  // lags solar noon by ~2h; peak mid-afternoon.
+  grid.combine_by_slot_of_day(
+      series.temperature_c,
+      [this](double hour) {
+        return cfg_.mean_temperature_c + 0.5 * cfg_.diurnal_temp_swing_c *
+                                             std::sin(2.0 * std::numbers::pi * (hour - 8.0) / 24.0);
+      },
+      [](double shape, double noise) { return shape + noise; });
 }
 
 }  // namespace ecthub::weather

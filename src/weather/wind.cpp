@@ -35,18 +35,24 @@ std::vector<double> WindModel::generate(const TimeGrid& grid) {
 
 void WindModel::generate_into(const TimeGrid& grid, std::vector<double>& out_speed) {
   out_speed.resize(grid.size());
-  // Shape pass: the diurnal modulation factor, written into the output.
-  grid.fill_by_slot_of_day(out_speed, [this](double hour) {
-    return 1.0 + cfg_.diurnal_amplitude * std::sin(2.0 * std::numbers::pi * (hour - 9.0) / 24.0);
-  });
-  // Noise pass: the OU state, scaled by the factor.
+  // Noise pass: the OU innovations in one call, then the OU state in place.
+  rng_.normals(out_speed, 0.0, cfg_.volatility);
   double x = cfg_.mean_speed_ms;  // OU state
-  for (std::size_t t = 0; t < grid.size(); ++t) {
-    x += cfg_.reversion_rate * (cfg_.mean_speed_ms - x) +
-         rng_.normal(0.0, cfg_.volatility);
+  for (double& speed : out_speed) {
+    x += cfg_.reversion_rate * (cfg_.mean_speed_ms - x) + speed;
     x = std::clamp(x, 0.0, cfg_.max_speed_ms);
-    out_speed[t] = std::clamp(x * out_speed[t], 0.0, cfg_.max_speed_ms);
+    speed = x;
   }
+  // Shape pass: the state scaled by the diurnal modulation factor.
+  grid.combine_by_slot_of_day(
+      out_speed,
+      [this](double hour) {
+        return 1.0 +
+               cfg_.diurnal_amplitude * std::sin(2.0 * std::numbers::pi * (hour - 9.0) / 24.0);
+      },
+      [this](double factor, double state) {
+        return std::clamp(state * factor, 0.0, cfg_.max_speed_ms);
+      });
 }
 
 }  // namespace ecthub::weather

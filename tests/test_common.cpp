@@ -15,7 +15,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <numbers>
 #include <numeric>
+#include <span>
 #include <random>
 #include <utility>
 #include <vector>
@@ -371,6 +373,150 @@ TEST(RngTwin, IntegerPathsMatchStdOverStdEngine) {
     std::shuffle(theirs.begin(), theirs.end(), ref);
     ASSERT_EQ(ours, theirs) << "round " << round;
   }
+}
+
+// ---------------------------------------------------------------- RngNormals
+//
+// The ziggurat behind Rng::normals (the episode noise contract in rng.hpp):
+// its tables, its stream discipline and its distribution.  The statistical
+// tolerances are five binomial (or sampling) standard deviations at the
+// stated sample size; the stream is seeded, so each check is deterministic.
+
+// Counts the words the sampler takes from the engine.
+struct CountingEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() {
+    ++words;
+    return engine();
+  }
+  Mt19937_64 engine;
+  std::size_t words = 0;
+};
+
+std::vector<double> ziggurat_sample(std::size_t n, std::uint64_t seed) {
+  std::vector<double> z(n);
+  Rng rng(seed);
+  rng.normals(z);
+  return z;
+}
+
+TEST(RngNormals, OneCallEqualsConsecutiveCalls) {
+  std::vector<double> whole(720);
+  Rng a(2024);
+  a.normals(whole, 1.5, 0.25);
+  std::vector<double> parts(720);
+  Rng b(2024);
+  for (std::size_t k = 0; k < 3; ++k) {
+    b.normals(std::span<double>(parts).subspan(240 * k, 240), 1.5, 0.25);
+  }
+  EXPECT_EQ(std::memcmp(whole.data(), parts.data(), whole.size() * sizeof(double)), 0);
+  EXPECT_EQ(a.engine()(), b.engine()());
+}
+
+TEST(RngNormals, MeanAndStddevScaleTheStandardDraws) {
+  const std::vector<double> z = ziggurat_sample(64, 9);
+  std::vector<double> scaled(64);
+  Rng rng(9);
+  rng.normals(scaled, -3.0, 0.5);
+  for (std::size_t k = 0; k < z.size(); ++k) ASSERT_EQ(scaled[k], z[k] * 0.5 + -3.0);
+}
+
+TEST(RngNormals, TablesSatisfyTheLayerRecurrenceAndEqualAreas) {
+  using detail::kZigF;
+  using detail::kZigLayers;
+  using detail::kZigR;
+  using detail::kZigV;
+  using detail::kZigX;
+  const auto f = [](double x) { return std::exp(-0.5 * x * x); };
+  EXPECT_EQ(kZigX[1], kZigR);
+  EXPECT_EQ(kZigX[kZigLayers], 0.0);
+  EXPECT_EQ(kZigF[kZigLayers], 1.0);
+  for (std::size_t i = 0; i <= kZigLayers; ++i) {
+    // kZigF holds f at the unrounded edge: half an ulp of x moves f by
+    // about x^2 * 2^-53 relative (x^2 < 17), plus the rounding of exp.
+    EXPECT_NEAR(kZigF[i], f(kZigX[i]), 4e-15 * kZigF[i]) << "layer " << i;
+    if (i < kZigLayers) EXPECT_GT(kZigX[i], kZigX[i + 1]) << "layer " << i;
+  }
+  // Base strip: its pseudo-width times f(R) is the core rectangle plus the
+  // tail beyond R, and both equal one layer's area.
+  const double tail = std::sqrt(std::numbers::pi / 2) * std::erfc(kZigR / std::numbers::sqrt2);
+  EXPECT_NEAR(kZigX[0] * kZigF[1], kZigV, 1e-15);
+  EXPECT_NEAR(kZigR * kZigF[1] + tail, kZigV, 1e-15);
+  // Layers 1..255: width times height is the same area, and together with
+  // the base strip they cover the half-normal's area sqrt(pi/2) plus the
+  // wedges above the curve (0.67% of the total).
+  for (std::size_t i = 1; i < kZigLayers; ++i) {
+    EXPECT_NEAR(kZigX[i] * (kZigF[i + 1] - kZigF[i]), kZigV, 1e-15) << "layer " << i;
+  }
+  const double covered = static_cast<double>(kZigLayers) * kZigV;
+  EXPECT_NEAR(1.0 - std::sqrt(std::numbers::pi / 2) / covered, 0.006678, 1e-6);
+}
+
+TEST(RngNormals, MomentsAndTailMassesMatchTheNormal) {
+  constexpr std::size_t kN = 1'000'000;
+  const std::vector<double> z = ziggurat_sample(kN, 77);
+  const double n = static_cast<double>(kN);
+  double m1 = 0.0;
+  for (const double v : z) m1 += v;
+  m1 /= n;
+  double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  std::size_t beyond3 = 0, beyond_r = 0;
+  for (const double v : z) {
+    const double d = v - m1;
+    m2 += d * d;
+    m3 += d * d * d;
+    m4 += d * d * d * d;
+    beyond3 += std::abs(v) > 3.0 ? 1 : 0;
+    beyond_r += std::abs(v) > detail::kZigR ? 1 : 0;
+  }
+  m2 /= n;
+  m3 /= n;
+  m4 /= n;
+  // Sampling sds at n = 1e6: mean 1/sqrt(n), variance sqrt(2/n), skewness
+  // sqrt(6/n), excess kurtosis sqrt(24/n).
+  EXPECT_NEAR(m1, 0.0, 5 * std::sqrt(1 / n));
+  EXPECT_NEAR(m2, 1.0, 5 * std::sqrt(2 / n));
+  EXPECT_NEAR(m3 / std::pow(m2, 1.5), 0.0, 5 * std::sqrt(6 / n));
+  EXPECT_NEAR(m4 / (m2 * m2) - 3.0, 0.0, 5 * std::sqrt(24 / n));
+  // Binomial counts: P(|z| > 3) = 0.0026998 and P(|z| > R) = 2.58e-4 (the
+  // tail sampler's whole share).
+  for (const auto& [count, cut] :
+       {std::pair<std::size_t, double>{beyond3, 3.0}, {beyond_r, detail::kZigR}}) {
+    const double p = std::erfc(cut / std::numbers::sqrt2);
+    EXPECT_NEAR(static_cast<double>(count), n * p, 5 * std::sqrt(n * p * (1 - p)))
+        << "P(|z| > " << cut << ")";
+  }
+  // Both signs of the tail occur.
+  EXPECT_GT(*std::max_element(z.begin(), z.end()), detail::kZigR);
+  EXPECT_LT(*std::min_element(z.begin(), z.end()), -detail::kZigR);
+}
+
+TEST(RngNormals, KolmogorovSmirnovAgainstTheNormalCdf) {
+  constexpr std::size_t kN = 1'000'000;
+  std::vector<double> z = ziggurat_sample(kN, 31337);
+  std::sort(z.begin(), z.end());
+  const double n = static_cast<double>(kN);
+  double d = 0.0;
+  for (std::size_t k = 0; k < kN; ++k) {
+    const double cdf = 0.5 * std::erfc(-z[k] / std::numbers::sqrt2);
+    d = std::max({d, static_cast<double>(k + 1) / n - cdf, cdf - static_cast<double>(k) / n});
+  }
+  // Asymptotic critical value at alpha = 0.001: 1.949 / sqrt(n).
+  EXPECT_LT(d, 1.949 / std::sqrt(n));
+}
+
+TEST(RngNormals, TakesAboutOneWordPerDraw) {
+  constexpr std::size_t kN = 1'000'000;
+  CountingEngine g{Mt19937_64(5), 0};
+  std::vector<double> z(kN);
+  detail::normals(g, z, 0.0, 1.0);
+  const double per_draw = static_cast<double>(g.words) / static_cast<double>(kN);
+  EXPECT_GE(per_draw, 1.0);
+  EXPECT_LE(per_draw, 1.05);
+  // The detail:: template over a counted engine is what Rng::normals runs.
+  EXPECT_EQ(z, ziggurat_sample(kN, 5));
 }
 
 // ---------------------------------------------------------------- stats

@@ -351,25 +351,25 @@ TEST(EctHubEnvGolden, FixedSeedPinsEpisodeSeries) {
 
   double rtp_sum = 0.0;
   for (std::size_t t = 0; t < 72; ++t) rtp_sum += env.rtp_at(t);
-  EXPECT_EQ(env.rtp_at(0), 73.523843581901588);
-  EXPECT_EQ(env.rtp_at(71), 92.379437347852715);
-  EXPECT_EQ(rtp_sum, 6490.3151203255802);
+  EXPECT_EQ(env.rtp_at(0), 68.843570488755006);
+  EXPECT_EQ(env.rtp_at(71), 97.998539543458449);
+  EXPECT_EQ(rtp_sum, 6590.3177053429263);
 
   const auto& renew = env.renewable_series();
   ASSERT_EQ(renew.size(), 72u);
   double renew_sum = 0.0;
   for (const double r : renew) renew_sum += r;
   EXPECT_EQ(renew.front(), 0.0);  // midnight: no PV
-  EXPECT_EQ(renew[12], 2.1879144406926456);
-  EXPECT_EQ(renew_sum, 52.532058697937451);
+  EXPECT_EQ(renew[12], 4.4550361011746293);
+  EXPECT_EQ(renew_sum, 80.717757007045989);
 
   const auto& bs = env.bs_power_series();
   ASSERT_EQ(bs.size(), 72u);
   double bs_sum = 0.0;
   for (const double b : bs) bs_sum += b;
-  EXPECT_EQ(bs.front(), 1.5191806369449494);
-  EXPECT_EQ(bs.back(), 1.6696044809281072);
-  EXPECT_EQ(bs_sum, 157.96698188832352);
+  EXPECT_EQ(bs.front(), 1.4919219601240743);
+  EXPECT_EQ(bs.back(), 1.6633118961072428);
+  EXPECT_EQ(bs_sum, 163.30018743074231);
 
   EXPECT_EQ(env.soc_frac(), 0.61776257063720164);
 }
@@ -471,35 +471,35 @@ TEST(EctHubEnvGolden, StageSeriesAndObservationsArePinnedToTheBit) {
   coupled.coupling.outage = OutageModel{12.0, 2.0, 6.0};
   const Case cases[] = {
       {"urban-24", HubConfig::urban("bits", 4242), env_cfg(24),
-       {0xfee94254ecf36d57ULL, 0x704b4d31fd890d19ULL, 0x3eeba408febefa6bULL,
-        0xf104242173b72952ULL, 0xa26d727f1835b0cdULL, 0x1d479013f4e53bdcULL,
+       {0xb6bac231e3536fa2ULL, 0x3fd88240c4c8ccebULL, 0xeab849b1d406840fULL,
+        0xf761e7909e874572ULL, 0x3198874f3227e0d5ULL, 0xaa68f922168d6791ULL,
         0x9a3c8a2d45c2d384ULL, 0xb4a31ea95e3a6e50ULL, 0xcbf29ce484222325ULL,
-        0xcbf29ce484222325ULL, 0xe833fab05b25ef8aULL, 0xc2eeed0e88ab57f4ULL,
-        0xfe945c18a01b7c10ULL}},
+        0xcbf29ce484222325ULL, 0xfdffa5c59be31e62ULL, 0x68625283d9c900f1ULL,
+        0xac4f59be29058714ULL}},
       {"rural-24", HubConfig::rural("bits", 4243), env_cfg(24),
-       {0x1335f0b8f9699279ULL, 0x1d89a4339f44aeccULL, 0x7ca2166a8df0316bULL,
-        0xa7a7e4e180ae9c44ULL, 0xdd99ae7d70144ca7ULL, 0x71b96588cb3babdcULL,
+       {0xd6fae2c1f75cfc56ULL, 0xe12ff48098ff4410ULL, 0x0048f7974537c25fULL,
+        0x835df4ddc7cfbd1fULL, 0x065b67eec92c57ccULL, 0xe84f7365c8a65d3eULL,
         0xfeaf3c3f0b8e6786ULL, 0xce69a1a26361c395ULL, 0xcbf29ce484222325ULL,
-        0xcbf29ce484222325ULL, 0xb9436b43b114340dULL, 0xbf6000b324115b74ULL,
-        0x16607074f42ecc11ULL}},
+        0xcbf29ce484222325ULL, 0x3b8b917b42da7dc9ULL, 0x315db3b8261105e5ULL,
+        0x5b51563c5a9d52e5ULL}},
       {"rural-96", HubConfig::rural("bits", 4244), env_cfg(96),
-       {0xa6039197da990f2eULL, 0x573ace80553e7636ULL, 0x5ca8cf59fbbe7a14ULL,
-        0x90d6ddf7399fd98cULL, 0xebcb7cad7f218f88ULL, 0xb619e2342c117e15ULL,
+       {0x77b2195ea3bfb746ULL, 0x5c272d72ed99ff8cULL, 0xe49e7de266b8f664ULL,
+        0x71874f22ff4f6ab9ULL, 0x654c93488fae44d1ULL, 0x04095b8e14527246ULL,
         0xd76f7ecd96ae4726ULL, 0x3c178d80f8a82615ULL, 0xcbf29ce484222325ULL,
-        0xcbf29ce484222325ULL, 0x3822f714c07ce136ULL, 0xcdf27fdce4c4468fULL,
-        0x84b050b37cb5032dULL}},
+        0xcbf29ce484222325ULL, 0x655c0f5d92f4070eULL, 0xb891f2d8eb69f861ULL,
+        0xb5076216c6e976d1ULL}},
       {"rural-5", HubConfig::rural("bits", 4245), env_cfg(5),
-       {0x591d087943d596d0ULL, 0x19c353d1a10a2e90ULL, 0x9bf72a0b1e9daed3ULL,
-        0x79249a696ff12443ULL, 0x617dbb9e6793a104ULL, 0xae39ee9bfd20f350ULL,
+       {0xd29d68a16212f4c3ULL, 0xa8d036e600a7c2e1ULL, 0x49fadc217ec90434ULL,
+        0xaabd2e3b7e277ba6ULL, 0x5cf9cc78233d46baULL, 0x0dbb9107075cb5edULL,
         0xb537a80629740b06ULL, 0xe5758b8a9fdb2d95ULL, 0xcbf29ce484222325ULL,
-        0xcbf29ce484222325ULL, 0x29ac69c8b4e9e190ULL, 0x85565f3e3c678044ULL,
-        0x983a85b2c121cd24ULL}},
+        0xcbf29ce484222325ULL, 0xa607e3672072e7fcULL, 0xe4a708563fc638f7ULL,
+        0x68e1667392d80440ULL}},
       {"urban-coupled", HubConfig::urban("bits", 4246), coupled,
-       {0xc417cd04054e894dULL, 0xc1ce38fc4c3badc5ULL, 0xbf56d57b9e9d9cc3ULL,
-        0xd715d79adcaec04eULL, 0x24d7e425dbc5e96fULL, 0xa125e0cac3e2b194ULL,
-        0x1380fc6e205df1e5ULL, 0x85db16d109c99b35ULL, 0xd3d1a38c4aab1c1aULL,
-        0xb8f28a3ac998cce4ULL, 0x18008abe6a764c89ULL, 0x0bd12e1f2c4f2d91ULL,
-        0xa63ebfba50f28869ULL}},
+       {0x88d26066b1939defULL, 0x731868f17b81dc57ULL, 0xe7416da81c7cf93eULL,
+        0x8623e62c2b06b1b3ULL, 0xb5ef2c79c7c8b624ULL, 0x59dd487d3916f0e7ULL,
+        0x1380fc6e205df1e5ULL, 0x85db16d109c99b35ULL, 0x47ad90eb2ad5f437ULL,
+        0xb8f28a3ac998cce4ULL, 0x23c6cf11bafd11adULL, 0x33562f23ab2950c1ULL,
+        0xd7ccc4f6d55ada35ULL}},
   };
   for (const Case& c : cases) {
     const EpisodeFingerprints got = fingerprint_episode(c.hub, c.cfg);
@@ -801,16 +801,16 @@ TEST(RunPolicyGolden, RulePoliciesArePinnedToTheBit) {
     std::uint64_t profits, daily;
   };
   const Case cases[] = {
-      {"urban-24", "NoBattery", 0xe71e3d7db93f8607ULL, 0xa87dc13ffa641fafULL},
-      {"urban-24", "TOU", 0xeffaeb71f3107a79ULL, 0x5eea991e8854034dULL},
-      {"urban-24", "GreedyPrice", 0x0a78ce0827c3df59ULL, 0xf562d2a89f17856bULL},
-      {"urban-24", "Forecast", 0x08e926114ed83d3aULL, 0xaba9e528cacb347dULL},
-      {"urban-24", "Random", 0xc8ebf4a11bc32945ULL, 0x61fa27f832077b81ULL},
-      {"rural-24", "NoBattery", 0xfe27d39bf4b1296bULL, 0x069da3b8c25df5c0ULL},
-      {"rural-24", "TOU", 0x0f0a28185408311eULL, 0x5a3130c5a3b1bf7dULL},
-      {"rural-24", "GreedyPrice", 0x04cb123e895e4f5bULL, 0xb58584268e3227e5ULL},
-      {"rural-24", "Forecast", 0x11a6b80fb5100723ULL, 0x0aa52f1c50cfee53ULL},
-      {"rural-24", "Random", 0x7fc6d7fc9331ac94ULL, 0xd94923fac32b790fULL},
+      {"urban-24", "NoBattery", 0xf4fd99e87b7f0c87ULL, 0xa90cc35d8e4a1dc0ULL},
+      {"urban-24", "TOU", 0xbcdf9b6cffb87149ULL, 0xb6e686de3500186cULL},
+      {"urban-24", "GreedyPrice", 0xc21da9366d401da6ULL, 0xe91c5cbea5d8626eULL},
+      {"urban-24", "Forecast", 0x4b7340215f4d8043ULL, 0xefc3c7e6f69e14adULL},
+      {"urban-24", "Random", 0x2f82ae209c181e7cULL, 0x5f678ff588960108ULL},
+      {"rural-24", "NoBattery", 0x1df3d997d369e303ULL, 0x4513debd48becf02ULL},
+      {"rural-24", "TOU", 0xa58cc6c3e5b6f7b0ULL, 0xebea08fed37b2968ULL},
+      {"rural-24", "GreedyPrice", 0x81d13a8cd245edbfULL, 0x2530b7a75bc9e5fdULL},
+      {"rural-24", "Forecast", 0xa7b35af18336b0b4ULL, 0x3f821aa53cb565d1ULL},
+      {"rural-24", "Random", 0xde9d4eb0dc91ea69ULL, 0xd0a7a875e757b5e0ULL},
   };
   HubEnvConfig cfg;
   cfg.episode_days = 8;
@@ -846,8 +846,8 @@ TEST(RunPolicyGolden, ReducedHubExperimentIsPinnedToTheBit) {
       run_hub_experiment(HubConfig::urban("pinned", 5152), discount, cfg, "Pinned");
   const std::uint64_t avg_bits = std::bit_cast<std::uint64_t>(result.avg_daily_reward);
   const std::uint64_t daily = bit_fingerprint(result.daily_rewards);
-  EXPECT_EQ(avg_bits, 0x4010880ee9eaeb65ULL) << "now " << hex_pair(avg_bits, daily);
-  EXPECT_EQ(daily, 0xb69dbee75d317f4dULL) << "now " << hex_pair(avg_bits, daily);
+  EXPECT_EQ(avg_bits, 0x4012bdfe9dc80cefULL) << "now " << hex_pair(avg_bits, daily);
+  EXPECT_EQ(daily, 0x897992b85861eb15ULL) << "now " << hex_pair(avg_bits, daily);
 }
 
 // ---------------------------------------------------------------- fleet

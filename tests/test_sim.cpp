@@ -137,18 +137,18 @@ struct GoldenScenario {
 TEST(ScenarioGolden, FixedSeedPinsEveryPreset) {
   const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
   const GoldenScenario golden[] = {
-      {"blackout-prone", 4422.8543568678506, 8182.2805602055214, 43.887883932540582,
-       107.9055819122873, 129.60000000000002, 0.61776257063720164},
-      {"heatwave", 4428.2849770388948, 7767.0694802434637, 51.094910293962094,
-       132.62810150114856, 144.0, 0.61776257063720164},
-      {"high-renewables", 4424.9477848423494, 8186.1534019583432, 624.53472962883586,
-       108.11492470973729, 143.0, 0.61776257063720164},
-      {"price-spike", 4975.0754927678645, 8924.0408095788644, 30.985610570435121,
-       107.9055819122873, 129.60000000000002, 0.61776257063720164},
-      {"rural", 4424.9477848423494, 8186.1534019583432, 247.04302255018914,
-       108.11492470973729, 143.0, 0.61776257063720164},
-      {"urban", 4422.8543568678506, 7757.0228329270312, 30.985610570435121,
-       107.9055819122873, 144.0, 0.61776257063720164},
+      {"blackout-prone", 4541.1709297381576, 8401.1662200155915, 39.84208128242058,
+       111.29377860080922, 129.60000000000002, 0.61776257063720164},
+      {"heatwave", 4545.3704321026244, 7989.8313961192316, 72.282726839633469,
+       137.19922037215838, 144.0, 0.61776257063720164},
+      {"high-renewables", 4540.4207212201445, 8399.7783342572675, 873.79761410265996,
+       111.21875774900795, 143.0, 0.61776257063720164},
+      {"price-spike", 4870.5648207150143, 8704.3549364178289, 63.678628209240244,
+       111.29377860080922, 129.60000000000002, 0.61776257063720164},
+      {"rural", 4540.4207212201445, 8399.7783342572675, 384.25570551409356,
+       111.21875774900795, 143.0, 0.61776257063720164},
+      {"urban", 4541.1709297381576, 7982.0623167449676, 63.678628209240244,
+       111.29377860080922, 144.0, 0.61776257063720164},
   };
   const auto sum = [](const std::vector<double>& v) {
     double s = 0.0;
