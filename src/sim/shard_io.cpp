@@ -12,7 +12,10 @@ namespace ecthub::sim {
 namespace {
 
 constexpr std::array<std::uint32_t, 3> kSections = {1, 2, 3};  // plan, results, report
-constexpr codec::Format kFormat{"shard", "ECSH", 1, kSections};
+// Version 2: results computed under the ziggurat episode-noise contract
+// (common/rng.hpp); a version-1 shard holds series of the older contract
+// and must not merge with them.
+constexpr codec::Format kFormat{"shard", "ECSH", 2, kSections};
 
 // Each record's fields are listed once, in wire order, and visited with a
 // Writer (const records) or a Loader (mutable ones), so the encoder and the

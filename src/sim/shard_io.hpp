@@ -2,7 +2,11 @@
 // per-hub results, and its partial AggregateReport — as a common/codec
 // container (README "Binary formats").
 //
-// Format "ECSH" version 1, three sections (every field little-endian):
+// Format "ECSH" version 2, three sections (every field little-endian).
+// Version 2 marks results of the ziggurat episode-noise contract
+// (common/rng.hpp); version-1 files, computed under the earlier contract,
+// are refused with codec::VersionError instead of merging with them.
+//
 //
 //   id 1  plan     shard_index/shard_count/job_count/begin/end (u64)
 //   id 2  results  u64 count + HubRunResult records (strings as u64 length

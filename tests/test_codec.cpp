@@ -168,7 +168,7 @@ std::string mutate_resealed(const Format& format, const std::string& bytes, Rng&
 
 // The wire formats under test, as README "Binary formats" documents them.
 constexpr std::array<std::uint32_t, 3> kShardSections = {1, 2, 3};
-constexpr Format kShard{"shard", "ECSH", 1, kShardSections};
+constexpr Format kShard{"shard", "ECSH", 2, kShardSections};
 constexpr std::array<std::uint32_t, 2> kCheckpointSections = {1, 2};
 constexpr Format kCheckpoint{"DRL checkpoint", "ECDR", 1, kCheckpointSections};
 

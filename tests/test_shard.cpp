@@ -16,11 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ecthub::sim {
@@ -282,7 +285,7 @@ TEST(ShardIo, BadMagicIsRejected) {
 
 TEST(ShardIo, FutureVersionIsRejected) {
   std::string bytes = serialize_shard(fake_shard(3));
-  bytes[4] = 2;  // version u32 lives at offset 4 (little-endian)
+  bytes[4] = 3;  // version u32 lives at offset 4 (little-endian)
   EXPECT_THROW((void)parse_shard(bytes), codec::VersionError);
 }
 
@@ -426,6 +429,31 @@ TEST(ShardDriverTest, MergeRejectsIncompleteOrMixedShardSets) {
   for (std::size_t i = 0; i < merged.results.size(); ++i) {
     EXPECT_EQ(merged.results[i].hub_id, i);
   }
+  fs::remove_all(dir);
+}
+
+TEST(ShardDriverTest, MergeRefusesAVersion1Shard) {
+  // A version-1 file holds results of the pre-ziggurat episode contract:
+  // the same sections, sealed as the older build sealed them.  Merging it
+  // with a current shard must fail typed, not fold the two contracts
+  // together.
+  const fs::path dir = scratch_dir("merge_v1");
+  save_shard(dir / "a.ecsh", fake_shard(2, 0, 2, 4));
+  save_shard(dir / "b.ecsh", fake_shard(2, 1, 2, 4));
+  const std::string current = serialize_shard(fake_shard(2, 0, 2, 4));
+  constexpr std::array<std::uint32_t, 3> kSections = {1, 2, 3};
+  const codec::Format v1{"shard", "ECSH", 1, kSections};
+  const codec::Format v2{"shard", "ECSH", 2, kSections};
+  const std::vector<std::string_view> sections = codec::decode(v2, current);
+  ASSERT_EQ(sections.size(), 3u);
+  {
+    std::ofstream out(dir / "a-v1.ecsh", std::ios::binary);
+    out << codec::encode(v1, {sections[0], sections[1], sections[2]});
+  }
+  EXPECT_THROW((void)load_shard(dir / "a-v1.ecsh"), codec::VersionError);
+  EXPECT_THROW((void)ShardDriver::merge_shard_files({dir / "a-v1.ecsh", dir / "b.ecsh"}),
+               codec::VersionError);
+  EXPECT_EQ(ShardDriver::merge_shard_files({dir / "a.ecsh", dir / "b.ecsh"}).results.size(), 4u);
   fs::remove_all(dir);
 }
 
