@@ -68,22 +68,11 @@
 #include <iostream>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace {
-
-std::vector<std::size_t> parse_thread_list(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::istringstream stream(csv);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<std::size_t>(std::stoul(item)));
-  }
-  return out;
-}
 
 double now_ms_since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -143,7 +132,7 @@ static int run(const ecthub::CliFlags& flags) {
   const std::size_t inference_reps = require_positive("inference-reps", 200);
   const auto base_seed = static_cast<std::uint64_t>(flags.get_int("base-seed", 7));
   const std::vector<std::size_t> thread_list =
-      parse_thread_list(flags.get_string("threads-list", "1,2,4,8"));
+      flags.get_size_list("threads-list", "1,2,4,8");
   flags.check_unknown();
 
   const sim::ScenarioRegistry registry = sim::ScenarioRegistry::with_builtins();

@@ -35,7 +35,6 @@
 #include <memory>
 #include <numbers>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,15 +48,6 @@ std::uint64_t steady_now_us() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::vector<std::size_t> parse_size_list(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(csv);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) out.push_back(std::stoul(tok));
-  if (out.empty()) throw std::invalid_argument("empty list: " + csv);
-  return out;
 }
 
 nn::Matrix fake_obs_pool(const policy::ObservationLayout& layout, Rng& rng,
@@ -125,9 +115,9 @@ static int run(const ecthub::CliFlags& flags) {
   const auto max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 32));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const std::vector<std::size_t> clients_list =
-      parse_size_list(flags.get_string("clients-list", "1,4,16"));
+      flags.get_size_list("clients-list", "1,4,16");
   const std::vector<std::size_t> wait_list =
-      parse_size_list(flags.get_string("wait-list", "0,100,400"));
+      flags.get_size_list("wait-list", "0,100,400");
   flags.check_unknown();
 
   const policy::ObservationLayout layout;

@@ -88,6 +88,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -243,6 +244,15 @@ static int run(const ecthub::CliFlags& flags) {
   if (scenario_keys.empty()) {
     std::cerr << "city_sweep: --scenarios selected no scenarios\n";
     return 1;
+  }
+  // Unknown keys fail here, as a flag error (exit 2), before any work runs.
+  for (const std::string& key : scenario_keys) {
+    if (!registry.contains(key)) {
+      std::string valid;
+      for (const std::string& k : registry.keys()) valid += (valid.empty() ? "" : "|") + k;
+      throw std::invalid_argument("flag --scenarios: unknown scenario '" + key + "' (valid: " +
+                                  valid + ")");
+    }
   }
 
   // The late paths' flags, hoisted so every read precedes check_unknown():

@@ -2,6 +2,7 @@
 
 #include "common/codec.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -91,6 +92,33 @@ bool CliFlags::get_bool(const std::string& name, bool def) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw std::invalid_argument("flag --" + name + " expects a boolean, got '" + v + "'");
+}
+
+std::vector<std::size_t> CliFlags::get_size_list(const std::string& name,
+                                                 const std::string& def) const {
+  const std::string text = get_string(name, def);
+  const auto reject = [&] {
+    return std::invalid_argument("flag --" + name +
+                                 " expects a comma-separated list of non-negative integers, "
+                                 "got '" + text + "'");
+  };
+  std::vector<std::size_t> out;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t end = std::min(text.find(',', begin), text.size());
+    const std::string item = text.substr(begin, end - begin);
+    if (item.empty() ||
+        !std::all_of(item.begin(), item.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+      throw reject();
+    }
+    try {
+      out.push_back(static_cast<std::size_t>(std::stoull(item)));
+    } catch (const std::out_of_range&) {
+      throw reject();
+    }
+    if (end == text.size()) return out;
+    begin = end + 1;
+  }
 }
 
 void CliFlags::check_unknown() const {

@@ -10,6 +10,7 @@
 // those errors into exit status 2 with a one-line message.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -33,6 +34,12 @@ class CliFlags {
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def = false) const;
+  /// A comma-separated list of non-negative integers ("1,4,16"); `def` is
+  /// the list text used when the flag is absent.  Every item must be all
+  /// digits, so an empty item, a sign or trailing garbage ("1abc") throws
+  /// std::invalid_argument, as does an empty list.
+  [[nodiscard]] std::vector<std::size_t> get_size_list(const std::string& name,
+                                                       const std::string& def) const;
 
   /// Throws std::invalid_argument listing every parsed --flag that no
   /// has()/get_*() call ever consumed, and any positional arguments when the

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace ecthub {
 namespace {
@@ -119,6 +121,26 @@ TEST(CliFlagsStrict, CleanNumbersStillParse) {
   EXPECT_DOUBLE_EQ(flags.get_double("discount", 0.0), 0.25);
   EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 1000.0);
   EXPECT_NO_THROW(flags.check_unknown());
+}
+
+TEST(CliFlagsStrict, SizeListParsesEveryItemWhole) {
+  const char* argv[] = {"prog", "--threads-list", "1,0,16", "--clients-list=7"};
+  const CliFlags flags(4, argv);
+  EXPECT_EQ(flags.get_size_list("threads-list", "9"), (std::vector<std::size_t>{1, 0, 16}));
+  EXPECT_EQ(flags.get_size_list("clients-list", "9"), (std::vector<std::size_t>{7}));
+  EXPECT_EQ(flags.get_size_list("wait-list", "0,100,400"),
+            (std::vector<std::size_t>{0, 100, 400}));  // absent: the default text
+  EXPECT_NO_THROW(flags.check_unknown());
+}
+
+TEST(CliFlagsStrict, SizeListRejectsMalformedItems) {
+  for (const char* bad : {"1abc", "x", "", "1,,8", "4,", ",4", "-1", "+2", " 3", "1.5",
+                          "99999999999999999999999"}) {
+    const char* argv[] = {"prog", "--threads-list", bad};
+    const CliFlags flags(3, argv);
+    EXPECT_THROW((void)flags.get_size_list("threads-list", "1"), std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 TEST(CliFlagsStrict, BooleanSwitchValueIsNotAnInteger) {

@@ -437,7 +437,9 @@ TEST(RngNormals, TablesSatisfyTheLayerRecurrenceAndEqualAreas) {
     // kZigF holds f at the unrounded edge: half an ulp of x moves f by
     // about x^2 * 2^-53 relative (x^2 < 17), plus the rounding of exp.
     EXPECT_NEAR(kZigF[i], f(kZigX[i]), 4e-15 * kZigF[i]) << "layer " << i;
-    if (i < kZigLayers) EXPECT_GT(kZigX[i], kZigX[i + 1]) << "layer " << i;
+    if (i < kZigLayers) {
+      EXPECT_GT(kZigX[i], kZigX[i + 1]) << "layer " << i;
+    }
   }
   // Base strip: its pseudo-width times f(R) is the core rectangle plus the
   // tail beyond R, and both equal one layer's area.
