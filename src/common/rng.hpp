@@ -31,10 +31,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <bit>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -162,6 +162,28 @@ inline double open_unit(std::uint64_t w) {
   return (static_cast<double>(static_cast<std::int64_t>(w >> 12)) + 0.5) * 0x1p-52;
 }
 
+/// The ~1.5% of draws whose x falls outside its layer's core rectangle:
+/// the base strip samples the tail beyond kZigR (Marsaglia's 1964 exact
+/// method) into x and accepts; any other layer draws a uniform height and
+/// accepts x only under the density (the wedge test).  Kept out of line so
+/// that the fast path stays small enough to inline into normals().
+template <FullRange64 G>
+[[gnu::noinline]] bool ziggurat_edge(G& g, std::size_t layer, double& x) {
+  if (layer == 0) {
+    double t = 0.0;
+    double e = 0.0;
+    do {
+      t = -std::log(open_unit(g())) / kZigR;
+      e = -std::log(open_unit(g()));
+    } while (e + e < t * t);
+    x = kZigR + t;
+    return true;
+  }
+  const double unit = static_cast<double>(static_cast<std::int64_t>(g() >> 11)) * 0x1p-53;
+  const double y = kZigF[layer] + (kZigF[layer + 1] - kZigF[layer]) * unit;
+  return y < std::exp(-0.5 * x * x);
+}
+
 /// One standard normal by the ziggurat.  The fast path (x inside its
 /// layer's core rectangle, ~98.5% of draws) takes one word and no libm call.
 template <FullRange64 G>
@@ -169,26 +191,10 @@ inline double ziggurat(G& g) {
   for (;;) {
     const std::uint64_t w = g();
     const std::size_t layer = w & 0xffU;
-    const std::uint64_t sign = (w & 0x100U) << 55;  // bit 8 -> the sign bit
-    const double u = static_cast<double>(static_cast<std::int64_t>(w >> 11)) * 0x1p-53;
-    double x = u * kZigX[layer];
-    if (x < kZigX[layer + 1]) return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) | sign);
-    if (layer == 0) {
-      // Base strip beyond kZigR: Marsaglia's (1964) exact tail sampler.
-      double t = 0.0;
-      double e = 0.0;
-      do {
-        t = -std::log(open_unit(g())) / kZigR;
-        e = -std::log(open_unit(g()));
-      } while (e + e < t * t);
-      x = kZigR + t;
-      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) | sign);
-    }
-    // Wedge: a uniform height in the layer, accepted under the density.
-    const double unit = static_cast<double>(static_cast<std::int64_t>(g() >> 11)) * 0x1p-53;
-    const double y = kZigF[layer] + (kZigF[layer + 1] - kZigF[layer]) * unit;
-    if (y < std::exp(-0.5 * x * x)) {
-      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) | sign);
+    double x = static_cast<double>(static_cast<std::int64_t>(w >> 11)) * 0x1p-53 * kZigX[layer];
+    if (x < kZigX[layer + 1] || ziggurat_edge(g, layer, x)) {
+      // x >= 0, so bit 8 of the word moved to bit 63 is the sign.
+      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) | ((w & 0x100U) << 55));
     }
   }
 }

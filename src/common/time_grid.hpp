@@ -54,23 +54,11 @@ class TimeGrid {
   /// First slot of day `d`.
   [[nodiscard]] std::size_t day_start(std::size_t d) const;
 
-  /// The shape pass of a generator: writes `shape(hour_of_day(t))` into
-  /// `out[t]` for every slot.  A shape depends on the slot of day only, so it
-  /// is evaluated for day 0's slots and copied forward to the later days —
-  /// bit-identical to evaluating it per slot.  out.size() must equal size().
-  template <typename Shape>
-  void fill_by_slot_of_day(std::span<double> out, Shape&& shape) const {
-    if (out.size() != size()) {
-      throw std::invalid_argument("TimeGrid::fill_by_slot_of_day: out.size() != size()");
-    }
-    for (std::size_t s = 0; s < slots_per_day_; ++s) out[s] = shape(hour_of_day(s));
-    for (std::size_t t = slots_per_day_; t < out.size(); ++t) out[t] = out[t - slots_per_day_];
-  }
-
-  /// The shape pass of a generator whose noise pass ran first: sets
-  /// `out[t] = combine(shape(hour_of_day(t)), out[t])` for every slot,
-  /// evaluating the shape once per slot of day like fill_by_slot_of_day.
-  /// out.size() must equal size().
+  /// The shape pass of a generator: sets
+  /// `out[t] = combine(shape(hour_of_day(t)), out[t])` for every slot.  A
+  /// shape depends on the slot of day only, so it is evaluated once per slot
+  /// of day — bit-identical to evaluating it per slot.  out.size() must
+  /// equal size().
   template <typename Shape, typename Combine>
   void combine_by_slot_of_day(std::span<double> out, Shape&& shape, Combine&& combine) const {
     if (out.size() != size()) {

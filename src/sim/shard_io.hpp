@@ -7,7 +7,6 @@
 // (common/rng.hpp); version-1 files, computed under the earlier contract,
 // are refused with codec::VersionError instead of merging with them.
 //
-//
 //   id 1  plan     shard_index/shard_count/job_count/begin/end (u64)
 //   id 2  results  u64 count + HubRunResult records (strings as u64 length
 //                  + bytes; doubles as u64 bit patterns; SchedulerKind by

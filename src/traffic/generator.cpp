@@ -41,7 +41,9 @@ void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) 
 
   // Shape pass: the diurnal envelope, written into the load buffer.
   std::vector<double>& load = trace.load_rate;
-  grid.fill_by_slot_of_day(load, [&](double hour) { return profile.at_hour(hour); });
+  grid.combine_by_slot_of_day(
+      load, [&](double hour) { return profile.at_hour(hour); },
+      [](double envelope, double /*previous episode*/) { return envelope; });
 
   // Noise pass over the envelope, in slot order.  The AR(1) innovations
   // are drawn in one call into the volume buffer, which each slot reads
